@@ -70,9 +70,13 @@ constexpr size_t kTracedOps = 2000;  ///< ops the traced passes replay
 constexpr size_t kHotWarmHits = 40000;  ///< hot_repeat warm-up hits
 
 /// Timed ops per second of --seconds (over all kReps replays), calibrated
-/// so the timed window lasts about --seconds on a 4-vCPU machine.
+/// on a 4-vCPU machine. uniform_oneshot's window lasts about --seconds:
+/// its figures follow the host's speed, which drifts over tens of
+/// seconds, so it gets the longest window. hot_repeat's (at about 60,000
+/// hits/s) lasts about 2/5 of it: that already gives steady figures, and
+/// 24 runs of each workload then take under an hour.
 constexpr size_t kUniformOpsPerSecond = 500;
-constexpr size_t kHotOpsPerSecond = 60000;
+constexpr size_t kHotOpsPerSecond = 24000;
 constexpr size_t kSessionsPerSecond = 4;
 
 /// p99 over a list needs this many ops (10 beyond it).
@@ -287,9 +291,13 @@ std::unique_ptr<mcn::api::Client> Connect(int port) {
 
 /// Replays `ops` over kClients connections, each its static slice. Ops
 /// of a session workload come in groups of kSessionBatches (one session).
-WirePass RunWire(int port, const std::vector<WireOp>& ops, bool sessions) {
+/// The samples go into `samples`, whose storage is reused when it is
+/// large enough.
+WirePass RunWire(int port, const std::vector<WireOp>& ops, bool sessions,
+                 std::vector<WireSample> samples = {}) {
   WirePass pass;
-  pass.samples.resize(ops.size());
+  pass.samples = std::move(samples);
+  pass.samples.assign(ops.size(), WireSample{});
   std::vector<std::unique_ptr<mcn::api::Client>> clients;
   for (int c = 0; c < kClients; ++c) clients.push_back(Connect(port));
   auto control = Connect(port);
@@ -503,6 +511,13 @@ int Run(const Args& args) {
       break;
   }
   MCN_CHECK(LocationsDisjoint(timed, warmup));
+  // The timed replays' samples (35 MB for hot_repeat), taken now so the
+  // window allocates nothing large: otherwise peak_rss_mb depends on
+  // where the allocator finds room for them after the reference phase.
+  std::vector<std::vector<WireSample>> rep_samples(kReps);
+  for (std::vector<WireSample>& samples : rep_samples) {
+    samples.resize(hot ? stream.size() : timed.size() * unit_ops);
+  }
 
   // References, before any timing: every op's in-process answer. The
   // naive oracle answers the first kNaivePerKind specs of each kind on
@@ -609,7 +624,8 @@ int Run(const Args& args) {
   std::vector<WirePass> reps;
   for (int r = 0; r < kReps; ++r) {
     if (!hot) service.BumpNetworkEpoch();  // every replay executes anew
-    reps.push_back(RunWire(d->port(), ops, sessions));
+    reps.push_back(RunWire(d->port(), ops, sessions,
+                           std::move(rep_samples[static_cast<size_t>(r)])));
   }
   phase("timed");
 
