@@ -36,7 +36,7 @@
 // strict inequality.
 //
 // The oracle's own I/O is kept a small fraction of the probes it elides
-// by zero-I/O paths that decide most checks without loading v's row:
+// by zero-I/O paths that decide some checks without loading v's row:
 //  1. prune-all: when no endpoint is live (maxub = -inf), or g exceeds
 //     every live endpoint's UB, the prune is certified with
 //     lower_bound(dist_i(v, e)) = 0 — no row needed.
@@ -49,14 +49,44 @@
 //     A prune certifies *every* live endpoint through *some* landmark, so
 //     prune implies 2g > gate_i = max_e min_lm of those thresholds, and a
 //     check with 2g <= gate_i provably cannot prune: it declines with zero
-//     I/O. Most failing checks sit below the nearest live endpoint's UB
-//     and never touch the index.
+//     I/O.
 //  3. a per-(expansion, landmark) screen max_e(UB_i(e) + hi_e(lm))
 //     certifies all endpoints with one comparison against v's row.
 // All three are refreshed deterministically every kScreenRefresh calls;
 // stale UBs are only ever too large (they fall monotonically, the endpoint
 // set only shrinks), which makes stale screens too large and the stale
 // gate too large — both lose prunes, never correctness.
+//
+// Where the checks land (fig. 8(a) base, d=4, L=64, the client-seen
+// benchmark's uniform_oneshot list): 4% decline at the gate, 4% are cut by
+// the screen, 92% reach the full check, and 10% of those cut. So the full
+// check is the oracle's cost, and it is built to touch as little as it can
+// while reaching the same verdict as the plain "for every endpoint, for
+// every landmark" scan:
+//
+//  * Order independence. The verdict is "every live endpoint has some
+//    certifying landmark" — a conjunction over endpoints of disjunctions
+//    over landmarks, over query state that no term changes (the check
+//    does no I/O and writes only its own memos). Its value does not
+//    depend on the order either is evaluated in. So each
+//    expansion tries its most recent decliners first (a move-to-front
+//    list), and each (expansion, endpoint) first tries the landmark that
+//    last certified it (likely to certify again: one term, not a scan).
+//    Only the endpoint that declines needs the full O(L) scan. The
+//    refreshed aggregates (maxub, gate, screen) are max/min folds, also
+//    order-free.
+//  * Monotone liveness. An endpoint is live in expansion i while it is
+//    unsettled there and one of its facilities is still in the filter and
+//    unsettled there. After BuildFilter a settled node stays settled, a
+//    settled facility stays settled and the filter only loses members, so
+//    an endpoint once dead in expansion i is dead for the rest of the
+//    query. Each expansion therefore keeps a compact list of the
+//    endpoints not yet seen dead and swap-erases one the first time it is
+//    seen dead (by a refresh, or by a full check that could not certify
+//    it). Dead endpoints still on the list may be certified or not —
+//    their verdict does not count — so the full check tests liveness only
+//    for an endpoint it cannot certify. Debug builds re-check every
+//    dropped endpoint at each refresh.
 #ifndef MCN_ALGO_PRUNE_ORACLE_H_
 #define MCN_ALGO_PRUNE_ORACLE_H_
 
@@ -100,22 +130,24 @@ class PruneOracle : public expand::NodePruner {
   /// Screens go stale for at most this many ShouldPrune calls per
   /// expansion. Deterministic (call-counted, not timed) so runs replay.
   static constexpr int kScreenRefresh = 64;
-
-  struct Endpoint {
-    graph::NodeId node;
-    std::vector<graph::FacilityId> facilities;  ///< protected facs using it
-  };
+  /// Memoized index rows per arena block; a block never moves once filled.
+  static constexpr uint32_t kRowsPerBlock = 32;
 
   PruneOracle(const expand::NnEngine* engine, net::LandmarkIndexReader* index,
               const expand::FacilityFilter* filter, uint64_t* checked,
               uint64_t* cut);
 
-  /// Still-live check: some facility on this endpoint is still in the
-  /// filter and not yet settled by expansion `i`.
-  bool EndpointLive(int i, const Endpoint& ep) const;
-  /// Current upper bound on dist_i(q, endpoint) — min of the static
-  /// landmark bound and the endpoint's live tentative key.
-  double UpperBound(int i, size_t ep_idx) const;
+  /// Some facility on endpoint `k` is still in the filter and not yet
+  /// settled by `exp` (the endpoint node itself is checked separately).
+  bool FacilitiesLive(const expand::SingleExpansion& exp, uint32_t k) const;
+  /// Whether some landmark certifies g + lower_bound(dist_i(v, e_k)) > ub.
+  /// `row` is v's dimension-i row; tries the memoized landmark first.
+  bool Certifies(int i, uint32_t k, const float* row, double key, double ub);
+  /// Swap-erases live_[i][pos]: the endpoint was seen dead in expansion i.
+  void DropEndpoint(int i, size_t pos);
+  /// v's full row (d_ * L_ floats), loaded from the index at most once per
+  /// query; nullptr when the load fails.
+  const float* NodeRow(graph::NodeId v);
   void RefreshScreens(int i);
 
   const expand::NnEngine* engine_;
@@ -126,25 +158,33 @@ class PruneOracle : public expand::NodePruner {
 
   int d_ = 0;
   uint32_t L_ = 0;
-  std::vector<Endpoint> endpoints_;
-  std::vector<double> ep_lo_;   ///< [ep][i][lm]: stored lower bounds
-  std::vector<double> ep_hi_;   ///< [ep][i][lm]: matching upper bounds
-  std::vector<double> ub0_;     ///< [ep][i]: min_lm(q_hi + ep_hi)
+  std::vector<graph::NodeId> ep_node_;  ///< [ep]
+  std::vector<std::vector<graph::FacilityId>> ep_facs_;  ///< [ep]: users
+  std::vector<float> ep_lo_;    ///< [i][ep][lm]: stored lower bounds
+  std::vector<float> ep_hi_;    ///< [i][ep][lm]: matching upper bounds
+  std::vector<double> ub0_;     ///< [i][ep]: min_lm(q_hi + ep_hi)
+  std::vector<double> gate_min_;  ///< [i][ep]: gate term minus UB (static)
+  std::vector<uint32_t> cert_lm_;  ///< [i][ep]: landmark that last certified
+  std::vector<std::vector<uint32_t>> live_;  ///< [i]: endpoints not seen dead
+#ifndef NDEBUG
+  std::vector<std::vector<uint32_t>> dropped_;  ///< [i]: re-checked on refresh
+#endif
   std::vector<double> q_hi_;    ///< [i][lm]: upper bound on dist_i(q, lm)
   std::vector<double> q_lo_;    ///< [i][lm]: lower bound on dist_i(q, lm)
   std::vector<double> screen_;  ///< [i][lm]: fast-path threshold
   std::vector<double> maxub_;   ///< [i]: max live-endpoint UB (zero-I/O path)
   std::vector<double> gate_;    ///< [i]: certificate gate (zero-I/O path)
   std::vector<int> refresh_in_;  ///< [i]: calls until next screen refresh
-  std::vector<float> row_scratch_;  ///< one node row (d_ * L_ floats)
 
-  /// Per-query row memo (node+1 -> row index into row_arena_): round-robin
+  /// Per-query row memo (node+1 -> row slot in row_blocks_): round-robin
   /// probing checks the same node in up to d expansions, so each row is
   /// fetched from the index pool at most once per query — the same
   /// fetched-at-most-once contract the engine keeps for adjacency pages
-  /// (DESIGN.md §4). The arena lives exactly as long as the query.
+  /// (DESIGN.md §4). Rows live in fixed-size blocks, so the memo grows
+  /// without copying what it holds; it lives exactly as long as the query.
   FlatU64Map row_cache_;
-  std::vector<float> row_arena_;
+  std::vector<std::unique_ptr<float[]>> row_blocks_;
+  uint32_t num_rows_ = 0;
 };
 
 }  // namespace mcn::algo

@@ -24,6 +24,7 @@
 #ifndef MCN_NET_LANDMARK_INDEX_H_
 #define MCN_NET_LANDMARK_INDEX_H_
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -61,11 +62,23 @@ struct LandmarkIndexFiles {
 /// (unreachable marker).
 float RoundDownToFloat(double x);
 
+/// std::nextafterf(x, +inf), bit for bit. Finite non-negative floats —
+/// every stored row value — are a bit increment: their bit patterns
+/// 0x00000000 (+0) .. 0x7f7fffff (FLT_MAX) are ordered like their values,
+/// and FLT_MAX + 1 is the +inf pattern. Everything else (+inf, NaN,
+/// negatives) takes the libm call. The prune oracle computes this once
+/// per landmark term, so the fast path must stay inline.
+inline float NextFloatUp(float x) {
+  const uint32_t bits = std::bit_cast<uint32_t>(x);
+  if (bits < 0x7f800000u) return std::bit_cast<float>(bits + 1);
+  return std::nextafterf(x, std::numeric_limits<float>::infinity());
+}
+
 /// The matching upper bound for a stored lower bound: one ulp up covers the
 /// worst-case round-down error. +inf stays +inf.
 inline float LandmarkUpperBound(float lo) {
   if (std::isinf(lo)) return lo;
-  return std::nextafterf(lo, std::numeric_limits<float>::infinity());
+  return NextFloatUp(lo);
 }
 
 /// Deterministic landmark selection: farthest-point sampling over the

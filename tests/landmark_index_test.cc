@@ -1,7 +1,8 @@
 // Landmark lower-bound index coverage (DESIGN.md §12, ctest label `index`):
 //
 //  * quantization properties: stored lower bounds never exceed the exact
-//    distance, the one-ulp upper bound never undercuts it;
+//    distance, the one-ulp upper bound never undercuts it, and the inline
+//    ulp-up helper is bit-exact with std::nextafterf;
 //  * deterministic selection: SelectLandmarks is a pure function of
 //    (graph, L, partition) — same inputs, same landmark list;
 //  * build determinism + persistence: two builds of the same graph agree
@@ -13,10 +14,16 @@
 //    are byte-identical to runs without it (flat and sharded layouts, and
 //    through QueryService), prune at least once somewhere across the
 //    sweep, and obey the probe accounting inequality
-//    adjacency_requests_on + nodes_pruned <= adjacency_requests_off.
+//    adjacency_requests_on + nodes_pruned <= adjacency_requests_off;
+//  * pinned verdicts: on a mid-size d=4 network with hundreds of protected
+//    endpoints, each query's prune counters and index I/O equal a table
+//    recorded before the oracle's evaluation order was last reworked.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
@@ -73,6 +80,37 @@ TEST(LandmarkIndexTest, QuantizationBracketsTheDouble) {
   EXPECT_TRUE(std::isinf(net::LandmarkUpperBound(
       net::RoundDownToFloat(kInf))));
   EXPECT_EQ(net::RoundDownToFloat(0.0), 0.0f);
+}
+
+TEST(LandmarkIndexTest, NextFloatUpMatchesLibm) {
+  constexpr float kFloatInf = std::numeric_limits<float>::infinity();
+  auto expect_same_bits = [](float x) {
+    const float want = std::nextafterf(x, kFloatInf);
+    EXPECT_EQ(std::bit_cast<uint32_t>(net::NextFloatUp(x)),
+              std::bit_cast<uint32_t>(want))
+        << "x bits=0x" << std::hex << std::bit_cast<uint32_t>(x);
+  };
+  expect_same_bits(0.0f);
+  expect_same_bits(std::numeric_limits<float>::denorm_min());
+  expect_same_bits(std::numeric_limits<float>::min());
+  expect_same_bits(std::numeric_limits<float>::max());
+  EXPECT_EQ(net::NextFloatUp(std::numeric_limits<float>::max()), kFloatInf);
+  expect_same_bits(kFloatInf);
+  // Outside the bit-increment range: the libm fallback.
+  expect_same_bits(-0.0f);
+  expect_same_bits(-1.5f);
+  expect_same_bits(-kFloatInf);
+
+  // A seeded sweep over every binade of the finite non-negative floats.
+  const uint64_t base = test::AnnounceSeed("landmark_index_test");
+  Random rng(base);
+  for (int i = 0; i < 100000; ++i) {
+    const auto bits = static_cast<uint32_t>(rng.Uniform(0x7f800000u));
+    expect_same_bits(std::bit_cast<float>(bits));
+  }
+  // The stored-bound wrapper agrees with it and keeps +inf.
+  EXPECT_EQ(net::LandmarkUpperBound(kFloatInf), kFloatInf);
+  EXPECT_EQ(net::LandmarkUpperBound(2.5f), net::NextFloatUp(2.5f));
 }
 
 TEST(LandmarkIndexTest, SelectionIsDeterministicAndDistinct) {
@@ -262,6 +300,103 @@ TEST(LandmarkIndexTest, SkylineWithIndexIsByteIdentical) {
     }
   }
   // The sweep as a whole must exercise the prune path for real.
+  EXPECT_GT(total_cut, 0u);
+}
+
+// Per-query prune counters and index I/O at a scale where the oracle's
+// protected sets reach hundreds of endpoints (up to ~600 here) and most
+// checks run the full per-endpoint certification. The oracle's evaluation
+// order is free, its verdicts are not: every number below was recorded at
+// commit a0c94c1, before the oracle's live-endpoint lists, certificate
+// memos and row blocks existed, so any change to what it decides — or to
+// which index rows it loads — shows up here. Regenerate (only for an intended change
+// of verdicts) with
+//   ./build/landmark_index_test --gtest_filter='*PinnedPruneCountsAtScale*'
+// which prints one table row per query on stderr.
+struct PinnedPruneRow {
+  uint64_t checked;
+  uint64_t cut;
+  uint64_t index_fetches;
+  uint64_t index_misses;
+  uint64_t buffer_misses;
+};
+
+constexpr PinnedPruneRow kPinnedPruneRows[] = {
+    {5848, 494, 3422, 1844, 8525},
+    {2203, 373, 2229, 1528, 9412},
+    {0, 0, 0, 0, 600},
+    {0, 0, 0, 0, 4},
+    {0, 0, 0, 0, 5},
+    {457, 363, 508, 369, 4605},
+    {0, 0, 0, 0, 5},
+    {0, 0, 0, 0, 76},
+    {887, 282, 744, 380, 3771},
+    {3694, 681, 3298, 2335, 13243},
+    {3816, 642, 3295, 2287, 12432},
+    {0, 0, 0, 0, 37},
+    {0, 0, 0, 0, 7},
+    {5136, 701, 3885, 2621, 10915},
+    {1881, 170, 1212, 772, 4202},
+    {500, 84, 563, 298, 1977},
+    {0, 0, 4, 1, 13},
+    {549, 168, 539, 286, 3169},
+    {462, 31, 468, 187, 2924},
+    {2508, 623, 2763, 1864, 14317},
+    {0, 0, 0, 0, 137},
+    {4221, 701, 3665, 2642, 13386},
+    {422, 86, 281, 83, 934},
+    {1450, 212, 1481, 716, 5328},
+};
+
+TEST(LandmarkIndexTest, PinnedPruneCountsAtScale) {
+  // A fixed seed, not MCN_TEST_SEED: the table pins this exact instance.
+  gen::ExperimentConfig config;
+  config.nodes = 8000;
+  config.edges = 10400;
+  config.facilities = 3000;
+  config.clusters = 4;
+  config.num_costs = 4;
+  config.distribution = gen::CostDistribution::kAntiCorrelated;
+  config.buffer_pct = 1.0;
+  config.seed = 1307;
+  config.landmarks = 16;
+  auto instance = gen::BuildInstance(config).value();
+  ASSERT_NE(instance->landmark_reader, nullptr);
+
+  constexpr size_t kQueries = std::size(kPinnedPruneRows);
+  Random rng(1308);
+  uint64_t total_cut = 0;
+  for (size_t qi = 0; qi < kQueries; ++qi) {
+    const graph::Location q = instance->RandomQueryLocation(rng);
+    SCOPED_TRACE("query " + std::to_string(qi) + " q=" + q.ToString());
+    instance->ResetIoState();
+    const PruneCapture off =
+        RunSkyline(instance->reader.get(), q, /*index=*/nullptr);
+    instance->ResetIoState();
+    const PruneCapture on =
+        RunSkyline(instance->reader.get(), q, instance->landmark_reader.get());
+    const storage::BufferPool::Stats& index_io =
+        instance->landmark_reader->pool().stats();
+    const PinnedPruneRow got{on.prune_checked, on.prune_cut,
+                             index_io.accesses(), index_io.misses,
+                             instance->pool->stats().misses};
+    std::fprintf(stderr, "    {%llu, %llu, %llu, %llu, %llu},\n",
+                 static_cast<unsigned long long>(got.checked),
+                 static_cast<unsigned long long>(got.cut),
+                 static_cast<unsigned long long>(got.index_fetches),
+                 static_cast<unsigned long long>(got.index_misses),
+                 static_cast<unsigned long long>(got.buffer_misses));
+
+    EXPECT_EQ(off.hash, on.hash);
+    EXPECT_EQ(off.ids, on.ids);
+    const PinnedPruneRow& want = kPinnedPruneRows[qi];
+    EXPECT_EQ(got.checked, want.checked);
+    EXPECT_EQ(got.cut, want.cut);
+    EXPECT_EQ(got.index_fetches, want.index_fetches);
+    EXPECT_EQ(got.index_misses, want.index_misses);
+    EXPECT_EQ(got.buffer_misses, want.buffer_misses);
+    total_cut += on.prune_cut;
+  }
   EXPECT_GT(total_cut, 0u);
 }
 
