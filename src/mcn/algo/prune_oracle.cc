@@ -189,14 +189,16 @@ void PruneOracle::RefreshScreens(int i) {
   for (size_t pos = 0; pos < live.size();) {
     const uint32_t k = live[pos];
     const graph::NodeId node = ep_node_[k];
-    if (exp.NodeSettled(node) || !FacilitiesLive(exp, k)) {
+    const double tentative = exp.NodeTentativeKey(node);
+    if (expand::SingleExpansion::IsSettledKey(tentative) ||
+        !FacilitiesLive(exp, k)) {
       DropEndpoint(i, pos);
       continue;
     }
     ++pos;
     // Unsettled, so the tentative key is a live upper bound (+inf when
     // never relaxed).
-    const double ub = std::min(ub0_[base + k], exp.NodeTentativeKey(node));
+    const double ub = std::min(ub0_[base + k], tentative);
     maxub_[i] = std::max(maxub_[i], ub);
     const float* hi_e = &ep_hi_[(base + k) * L_];
     // This endpoint's gate term: certifying it via landmark lm implies
@@ -311,11 +313,12 @@ bool PruneOracle::ShouldPrune(int cost_index, graph::NodeId v, double key) {
   for (size_t pos = 0; pos < live.size();) {
     const uint32_t k = live[pos];
     const graph::NodeId node = ep_node_[k];
-    if (exp.NodeSettled(node)) {
+    const double tentative = exp.NodeTentativeKey(node);
+    if (expand::SingleExpansion::IsSettledKey(tentative)) {
       DropEndpoint(i, pos);
       continue;
     }
-    const double ub = std::min(ub0_[base + k], exp.NodeTentativeKey(node));
+    const double ub = std::min(ub0_[base + k], tentative);
     if (Certifies(i, k, row, key, ub)) {
       ++pos;
       continue;

@@ -28,6 +28,7 @@ class FlatU64Map {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  size_t capacity() const { return entries_.size(); }
 
   /// Value stored under `key`, or kNoValue when absent. The reserved
   /// all-ones key reports absent (it would otherwise match an empty slot),
@@ -98,8 +99,6 @@ class FlatU64Map {
     uint64_t key = kEmptyKey;
     uint32_t value = 0;
   };
-
-  size_t capacity() const { return entries_.size(); }
 
   size_t Ideal(uint64_t key) const {
     return static_cast<size_t>(MixU64(key)) & mask_;

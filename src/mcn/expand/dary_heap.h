@@ -52,6 +52,16 @@ class DaryHeap {
   }
 
   void clear() { items_.clear(); }
+  /// Empties the heap and, when its capacity exceeds `n`, swaps the
+  /// backing store for one reserved to `n` (releasing the rest).
+  void ClearAndTrim(size_t n) {
+    items_.clear();
+    if (items_.capacity() > n) {
+      std::vector<T> fresh;
+      fresh.reserve(n);
+      items_.swap(fresh);
+    }
+  }
 
  private:
   void SiftUp(size_t i) {

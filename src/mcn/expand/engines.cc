@@ -36,7 +36,8 @@ void NnEngine::SetCancelToken(const CancelToken* cancel) {
 }
 
 Status NnEngine::Init(std::unique_ptr<FetchProvider> fetch,
-                      const graph::Location& q) {
+                      const graph::Location& q, bool private_tables) {
+  MCN_CHECK(workspace_.get() != nullptr);
   fetch_ = std::move(fetch);
   query_ = q;
   int d = fetch_->num_costs();
@@ -44,7 +45,9 @@ Status NnEngine::Init(std::unique_ptr<FetchProvider> fetch,
   if (!q.is_node()) seed_edge_costs_ = seed.edge_costs;
   expansions_.reserve(d);
   for (int i = 0; i < d; ++i) {
-    expansions_.emplace_back(i, fetch_.get());
+    expansions_.emplace_back(
+        i, fetch_.get(),
+        workspace_.get()->ScratchFor(i, d, private_tables));
     SingleExpansion& exp = expansions_.back();
     if (q.is_node()) {
       if (q.node() >= fetch_->num_nodes()) {
@@ -70,6 +73,8 @@ Result<std::unique_ptr<LsaEngine>> LsaEngine::Create(
   MCN_CHECK(reader != nullptr);
   auto engine = std::unique_ptr<LsaEngine>(new LsaEngine());
   engine->reader_ = reader;
+  engine->workspace_ = WorkspaceLease(reader, reader->num_nodes(),
+                                      reader->num_facilities());
   MCN_RETURN_IF_ERROR(
       engine->Init(std::make_unique<DirectFetch>(reader), q));
   return engine;
@@ -80,8 +85,11 @@ Result<std::unique_ptr<CeaEngine>> CeaEngine::Create(
   MCN_CHECK(reader != nullptr);
   auto engine = std::unique_ptr<CeaEngine>(new CeaEngine());
   engine->reader_ = reader;
-  MCN_RETURN_IF_ERROR(
-      engine->Init(std::make_unique<CachedFetch>(reader), q));
+  engine->workspace_ = WorkspaceLease(reader, reader->num_nodes(),
+                                      reader->num_facilities());
+  MCN_RETURN_IF_ERROR(engine->Init(
+      std::make_unique<CachedFetch>(reader, engine->workspace_.get()->cea()),
+      q));
   return engine;
 }
 
@@ -98,17 +106,27 @@ Result<std::unique_ptr<StripedCeaEngine>> StripedCeaEngine::Create(
   StripedCachedFetch::BindWorkerSlot(0);
   auto engine = std::unique_ptr<StripedCeaEngine>(new StripedCeaEngine());
   engine->readers_ = std::move(readers);
+  const net::NetworkReader* driver = engine->readers_[0];
+  engine->workspace_ = WorkspaceLease(driver, driver->num_nodes(),
+                                      driver->num_facilities());
+  // The striped fetch keeps its own per-query stripe tables (none is sized
+  // by |V| or |P|); the expansions probe concurrently, so each gets
+  // private distance tables.
   MCN_RETURN_IF_ERROR(engine->Init(
-      std::make_unique<StripedCachedFetch>(engine->readers_), q));
+      std::make_unique<StripedCachedFetch>(engine->readers_), q,
+      /*private_tables=*/true));
   return engine;
 }
 
 Result<std::unique_ptr<MemEngine>> MemEngine::Create(
     const graph::MultiCostGraph* graph, const graph::FacilitySet* facilities,
     const graph::Location& q) {
+  MCN_CHECK(graph != nullptr && facilities != nullptr);
   auto engine = std::unique_ptr<MemEngine>(new MemEngine());
   engine->graph_ = graph;
   engine->facilities_ = facilities;
+  engine->workspace_ = WorkspaceLease(
+      nullptr, graph->num_nodes(), static_cast<uint32_t>(facilities->size()));
   MCN_RETURN_IF_ERROR(
       engine->Init(std::make_unique<MemFetch>(graph, facilities), q));
   return engine;

@@ -9,6 +9,11 @@
 //    Expansion Algorithm). Pop order is identical to LSA.
 //  * MemEngine — in-memory, zero I/O; used for verification and by callers
 //    who do not need the disk simulation.
+//
+// Every engine keeps the expansions' per-query state (and CEA's cache) in
+// a QueryWorkspace leased from its reader for the engine's lifetime
+// (DESIGN.md §4, §6): creating an engine over a reader whose workspace is
+// free costs no |V|- or |P|-sized allocation or fill.
 #ifndef MCN_EXPAND_ENGINES_H_
 #define MCN_EXPAND_ENGINES_H_
 
@@ -18,6 +23,7 @@
 
 #include "mcn/common/result.h"
 #include "mcn/expand/fetch_provider.h"
+#include "mcn/expand/query_workspace.h"
 #include "mcn/expand/single_expansion.h"
 #include "mcn/expand/striped_fetch.h"
 #include "mcn/graph/facility.h"
@@ -84,9 +90,17 @@ class NnEngine {
   }
 
  protected:
-  /// Builds d seeded expansions over `fetch` (takes ownership).
-  Status Init(std::unique_ptr<FetchProvider> fetch, const graph::Location& q);
+  /// Builds d seeded expansions over `fetch` (takes ownership), over the
+  /// workspace the flavor's Create leased into `workspace_` first. With
+  /// `private_tables`, each expansion gets its own distance tables, so
+  /// their probes may run concurrently (StripedCeaEngine).
+  Status Init(std::unique_ptr<FetchProvider> fetch, const graph::Location& q,
+              bool private_tables = false);
 
+  // The reader's workspace, or a private one (MemEngine). Declared first:
+  // the fetch provider and expansions point into it, so it is destroyed
+  // (reset and handed back) after them.
+  WorkspaceLease workspace_;
   std::unique_ptr<FetchProvider> fetch_;
   std::vector<SingleExpansion> expansions_;
   const CancelToken* cancel_ = nullptr;

@@ -56,42 +56,45 @@ Result<FetchProvider::SeedInfo> DirectFetch::GetSeedInfo(
   return SeedFromEntries(this, *entries, q.edge());
 }
 
-CachedFetch::CachedFetch(const net::NetworkReader* reader)
-    : reader_(reader),
-      adj_row_of_(reader != nullptr ? reader->num_nodes() : 0,
-                  FlatU64Map::kNoValue) {
-  MCN_CHECK(reader != nullptr);
+CachedFetch::CachedFetch(const net::NetworkReader* reader,
+                         CeaCacheState* cache)
+    : reader_(reader), cache_(cache) {
+  MCN_CHECK(reader != nullptr && cache != nullptr);
+  MCN_CHECK(cache->adj_row_of.capacity() == reader->num_nodes());
+  MCN_DCHECK(cache->IsClean());
 }
 
 Result<const std::vector<net::AdjEntry>*> CachedFetch::GetAdjacency(
     graph::NodeId node) {
   ++stats_.adjacency_requests;
-  if (node >= adj_row_of_.size()) {
+  if (node >= cache_->adj_row_of.capacity()) {
     return Status::InvalidArgument("CachedFetch: node out of range");
   }
-  uint32_t row = adj_row_of_[node];
-  if (row != FlatU64Map::kNoValue) return &adj_rows_[row];
+  uint32_t row = cache_->adj_row_of.Find(node);
+  if (row != SlotDirectory::kNoSlot) return &cache_->adj_rows[row];
   ++stats_.adjacency_fetches;
-  std::vector<net::AdjEntry> entries;
-  MCN_RETURN_IF_ERROR(reader_->GetAdjacency(node, &entries));
-  row = static_cast<uint32_t>(adj_rows_.size());
-  adj_rows_.push_back(std::move(entries));
-  adj_row_of_[node] = row;
-  return &adj_rows_[row];
+  std::vector<net::AdjEntry>* entries = cache_->adj_rows.Stage();
+  MCN_RETURN_IF_ERROR(reader_->GetAdjacency(node, entries));
+  // Rows and directory slots are both handed out in fetch order, so the
+  // node's slot is its row.
+  cache_->adj_rows.Commit();
+  cache_->adj_row_of.Add(node);
+  MCN_DCHECK(cache_->adj_row_of.size() == cache_->adj_rows.size());
+  return entries;
 }
 
 Result<const std::vector<net::FacilityOnEdge>*> CachedFetch::GetFacilities(
     graph::EdgeKey edge, const net::FacRef& ref) {
   ++stats_.facility_requests;
-  uint32_t row = fac_row_of_.Find(edge.Pack());
-  if (row != FlatU64Map::kNoValue) return &fac_rows_[row];
+  const uint64_t key = edge.Pack();
+  uint32_t row = cache_->fac_row_of.Find(key);
+  if (row != FlatU64Map::kNoValue) return &cache_->fac_rows[row];
   ++stats_.facility_fetches;
-  std::vector<net::FacilityOnEdge> facs;
-  MCN_RETURN_IF_ERROR(reader_->GetFacilities(edge, ref, &facs));
-  row = static_cast<uint32_t>(fac_rows_.size());
-  fac_rows_.push_back(std::move(facs));
-  fac_row_of_.Insert(edge.Pack(), row);
-  return &fac_rows_[row];
+  std::vector<net::FacilityOnEdge>* facs = cache_->fac_rows.Stage();
+  MCN_RETURN_IF_ERROR(reader_->GetFacilities(edge, ref, facs));
+  cache_->fac_row_of.Insert(key, cache_->fac_rows.Commit());
+  cache_->fac_keys.push_back(key);
+  return facs;
 }
 
 Result<FetchProvider::SeedInfo> CachedFetch::GetSeedInfo(

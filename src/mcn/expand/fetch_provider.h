@@ -13,12 +13,12 @@
 #define MCN_EXPAND_FETCH_PROVIDER_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "mcn/common/flat_u64_map.h"
 #include "mcn/common/result.h"
+#include "mcn/expand/query_workspace.h"
 #include "mcn/graph/facility.h"
 #include "mcn/graph/location.h"
 #include "mcn/graph/multi_cost_graph.h"
@@ -107,13 +107,15 @@ class DirectFetch : public FetchProvider {
 
 /// CEA-style caching provider: each record is fetched from the reader at
 /// most once per provider lifetime (i.e. per query). The adjacency cache is
-/// a NodeId-indexed flat directory (one u32 per node) and the facility
-/// cache an open-addressed packed-edge table, so the per-request lookup is
-/// an array index / one probe chain instead of an unordered_map find
-/// (DESIGN.md §4).
+/// a NodeId-indexed slot directory and the facility cache an open-addressed
+/// packed-edge table, so the per-request lookup is an array index / one
+/// probe chain instead of an unordered_map find. Both, and the rows, live
+/// in the engine's QueryWorkspace and are reused across queries: the
+/// workspace resets them in O(records cached) (DESIGN.md §4).
 class CachedFetch : public FetchProvider {
  public:
-  explicit CachedFetch(const net::NetworkReader* reader);
+  /// `cache` must be clean and outlive the provider.
+  CachedFetch(const net::NetworkReader* reader, CeaCacheState* cache);
 
   int num_costs() const override { return reader_->num_costs(); }
   uint32_t num_nodes() const override { return reader_->num_nodes(); }
@@ -127,18 +129,14 @@ class CachedFetch : public FetchProvider {
       graph::EdgeKey edge, const net::FacRef& ref) override;
   Result<SeedInfo> GetSeedInfo(const graph::Location& q) override;
 
-  size_t cached_nodes() const { return adj_rows_.size(); }
-  size_t cached_edges() const { return fac_rows_.size(); }
+  size_t cached_nodes() const { return cache_->adj_rows.size(); }
+  size_t cached_edges() const { return cache_->fac_rows.size(); }
 
  private:
   const net::NetworkReader* reader_;
-  // Row storage is a deque so cached rows keep stable addresses as the
-  // cache grows — stronger than the base contract's "valid until the next
-  // Get* call", and what a future parallel executor will want.
-  std::vector<uint32_t> adj_row_of_;  ///< NodeId-indexed; kNoValue = absent
-  std::deque<std::vector<net::AdjEntry>> adj_rows_;
-  FlatU64Map fac_row_of_;  ///< packed EdgeKey -> row in fac_rows_
-  std::deque<std::vector<net::FacilityOnEdge>> fac_rows_;
+  // Rows keep stable addresses as the cache grows (RowStore) — stronger
+  // than the base contract's "valid until the next Get* call".
+  CeaCacheState* cache_;
 };
 
 /// In-memory provider over MultiCostGraph + FacilitySet (no disk at all).

@@ -7,8 +7,13 @@
 namespace mcn::expand {
 
 void FacilityFilter::Add(graph::EdgeKey edge, graph::FacilityId fac) {
-  if (fac >= fac_entries_.size()) fac_entries_.resize(fac + 1);
-  FacEntry& entry = fac_entries_[fac];
+  uint32_t i = entry_of_.Find(fac);
+  if (i == FlatU64Map::kNoValue) {
+    i = static_cast<uint32_t>(entries_.size());
+    entries_.emplace_back();
+    entry_of_.Insert(fac, i);
+  }
+  FacEntry& entry = entries_[i];
   if (entry.edge_packed != FlatU64Map::kEmptyKey) {
     // A facility lies on exactly one edge: a re-add under a different edge
     // means the caller's bookkeeping is corrupt.
@@ -28,8 +33,9 @@ void FacilityFilter::Add(graph::EdgeKey edge, graph::FacilityId fac) {
 }
 
 bool FacilityFilter::Remove(graph::FacilityId fac) {
-  if (fac >= fac_entries_.size()) return false;
-  FacEntry& entry = fac_entries_[fac];
+  uint32_t i = entry_of_.Find(fac);
+  if (i == FlatU64Map::kNoValue) return false;
+  FacEntry& entry = entries_[i];
   if (entry.edge_packed == FlatU64Map::kEmptyKey) return false;
   uint32_t row = edges_.Find(entry.edge_packed);
   MCN_DCHECK(row != FlatU64Map::kNoValue);
@@ -37,7 +43,7 @@ bool FacilityFilter::Remove(graph::FacilityId fac) {
   MCN_DCHECK(entry.pos < vec.size() && vec[entry.pos] == fac);
   graph::FacilityId moved = vec.back();
   vec[entry.pos] = moved;
-  fac_entries_[moved].pos = entry.pos;
+  entries_[entry_of_.Find(moved)].pos = entry.pos;
   vec.pop_back();
   // The (possibly now empty) edge row is retained: ContainsEdge checks
   // emptiness, and a later Add may refill it without re-probing the map.
@@ -46,32 +52,46 @@ bool FacilityFilter::Remove(graph::FacilityId fac) {
   return true;
 }
 
+SingleExpansion::SingleExpansion(int cost_index, FetchProvider* fetch,
+                                 const ExpansionScratch& scratch)
+    : cost_index_(cost_index), fetch_(fetch) {
+  Bind(scratch);
+}
+
 SingleExpansion::SingleExpansion(int cost_index, FetchProvider* fetch)
     : cost_index_(cost_index), fetch_(fetch) {
   MCN_CHECK(fetch != nullptr);
-  MCN_CHECK(cost_index >= 0 && cost_index < fetch->num_costs());
-  node_dist_.assign(fetch->num_nodes(),
-                    std::numeric_limits<double>::infinity());
-  fac_dist_.assign(fetch->num_facilities(),
-                   std::numeric_limits<double>::infinity());
-  // Queries are local: a few thousand frontier entries cover typical runs,
-  // and the rare deeper expansion grows geometrically (no per-push
-  // allocation in steady state).
-  heap_.reserve(4096);
+  own_workspace_ = std::make_unique<QueryWorkspace>(fetch->num_nodes(),
+                                                    fetch->num_facilities());
+  Bind(own_workspace_->ScratchFor(0, 1, /*private_tables=*/true));
+}
+
+void SingleExpansion::Bind(const ExpansionScratch& scratch) {
+  MCN_CHECK(fetch_ != nullptr);
+  MCN_CHECK(cost_index_ >= 0 && cost_index_ < fetch_->num_costs());
+  nodes_ = scratch.nodes;
+  facs_ = scratch.facilities;
+  column_ = scratch.column;
+  heap_ = scratch.heap;
+  MCN_CHECK(nodes_ != nullptr && facs_ != nullptr && heap_ != nullptr);
+  MCN_CHECK(column_ >= 0 && column_ < nodes_->stride() &&
+            column_ < facs_->stride());
 }
 
 void SingleExpansion::PushNode(graph::NodeId v, double key) {
   // dist == kSettled (settled) also fails this test: key is non-negative.
-  if (key >= node_dist_[v]) return;
-  node_dist_[v] = key;
-  heap_.push(HeapItem{key, v});
+  double& dist = nodes_->at(nodes_->Acquire(v), column_);
+  if (key >= dist) return;
+  dist = key;
+  heap_->push(HeapItem{key, v});
   ++stats_.heap_pushes;
 }
 
 void SingleExpansion::PushFacility(graph::FacilityId f, double key) {
-  if (key >= fac_dist_[f]) return;
-  fac_dist_[f] = key;
-  heap_.push(HeapItem{key, kFacilityTag | f});
+  double& dist = facs_->at(facs_->Acquire(f), column_);
+  if (key >= dist) return;
+  dist = key;
+  heap_->push(HeapItem{key, kFacilityTag | f});
   ++stats_.heap_pushes;
 }
 
@@ -108,34 +128,37 @@ Result<ExpansionEvent> SingleExpansion::Step() {
   // Cancellation point: checked once per settled element, so an expired
   // query stops before its next fetch. Exhaustion still reports cleanly —
   // an empty heap costs nothing to finish.
-  if (cancel_ != nullptr && !heap_.empty()) {
+  if (cancel_ != nullptr && !heap_->empty()) {
     MCN_RETURN_IF_ERROR(cancel_->Check());
   }
-  while (!heap_.empty()) {
-    HeapItem item = heap_.top();
-    heap_.pop();
+  while (!heap_->empty()) {
+    HeapItem item = heap_->top();
+    heap_->pop();
     ++stats_.heap_pops;
     if (item.tagged_id & kFacilityTag) {
       graph::FacilityId f =
           static_cast<graph::FacilityId>(item.tagged_id & 0xFFFFFFFFu);
-      if (item.key > fac_dist_[f]) continue;  // stale or already settled
-      fac_dist_[f] = kSettled;
+      // Every heap entry was pushed through PushFacility, so f has a slot.
+      double& dist = facs_->at(facs_->Find(f), column_);
+      if (item.key > dist) continue;  // stale or already settled
+      dist = kSettled;
       ++stats_.facilities_settled;
       return ExpansionEvent{ExpansionEvent::Type::kFacility, f, item.key};
     }
     graph::NodeId v = static_cast<graph::NodeId>(item.tagged_id);
-    if (item.key > node_dist_[v]) continue;  // stale or already settled
+    double& dist = nodes_->at(nodes_->Find(v), column_);
+    if (item.key > dist) continue;  // stale or already settled
     // The pruner must be asked while v still reads as unsettled: a
     // protected facility endpoint recognizes itself through its live
     // tentative key (key + 0 > UB fails), which the settle below destroys.
     if (pruner_ != nullptr && pruner_->ShouldPrune(cost_index_, v, item.key)) {
-      node_dist_[v] = kSettled;
+      dist = kSettled;
       ++stats_.nodes_pruned;
       // Settled-but-not-expanded: neighbors are never relaxed and no page
       // is fetched; the event keeps Step()'s one-element contract.
       return ExpansionEvent{ExpansionEvent::Type::kNode, v, item.key};
     }
-    node_dist_[v] = kSettled;
+    dist = kSettled;
     ++stats_.nodes_settled;
     MCN_RETURN_IF_ERROR(ExpandNode(v, item.key));
     return ExpansionEvent{ExpansionEvent::Type::kNode, v, item.key};
@@ -144,8 +167,8 @@ Result<ExpansionEvent> SingleExpansion::Step() {
 }
 
 double SingleExpansion::FrontierKey() const {
-  if (heap_.empty()) return std::numeric_limits<double>::infinity();
-  return heap_.top().key;
+  if (heap_->empty()) return std::numeric_limits<double>::infinity();
+  return heap_->top().key;
 }
 
 }  // namespace mcn::expand

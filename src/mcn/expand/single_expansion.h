@@ -11,13 +11,14 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "mcn/common/cancel.h"
 #include "mcn/common/flat_u64_map.h"
 #include "mcn/common/result.h"
-#include "mcn/expand/dary_heap.h"
 #include "mcn/expand/fetch_provider.h"
+#include "mcn/expand/query_workspace.h"
 #include "mcn/graph/location.h"
 #include "mcn/graph/multi_cost_graph.h"
 
@@ -33,10 +34,10 @@ struct ExpansionEvent {
 
 /// The shrinking-stage candidate set, addressed by edge so expansions can
 /// decide — while scanning an adjacency entry — whether the edge's facility
-/// record is worth reading. Facility membership is a FacilityId-indexed
-/// flat directory, so Allows/Remove are O(1); the per-edge lists use
-/// swap-erase (an eliminated candidate's slot is backfilled by the list
-/// tail).
+/// record is worth reading. Facility membership is a sparse FacilityId ->
+/// entry map sized by the candidates, not by |P| (DESIGN.md §4), so
+/// Allows/Remove are O(1) expected; the per-edge lists use swap-erase (an
+/// eliminated candidate's slot is backfilled by the list tail).
 class FacilityFilter {
  public:
   /// Registers `fac` on `edge`. Re-adding an already-present facility is a
@@ -52,26 +53,32 @@ class FacilityFilter {
     return row != FlatU64Map::kNoValue && !edge_rows_[row].empty();
   }
   bool Allows(const graph::EdgeKey& edge, graph::FacilityId fac) const {
-    return fac < fac_entries_.size() &&
-           fac_entries_[fac].edge_packed == edge.Pack();
+    const FacEntry* entry = Find(fac);
+    return entry != nullptr && entry->edge_packed == edge.Pack();
   }
   /// Whether `fac` is currently registered (on any edge).
   bool Contains(graph::FacilityId fac) const {
-    return fac < fac_entries_.size() &&
-           fac_entries_[fac].edge_packed != FlatU64Map::kEmptyKey;
+    const FacEntry* entry = Find(fac);
+    return entry != nullptr && entry->edge_packed != FlatU64Map::kEmptyKey;
   }
   size_t num_facilities() const { return num_facilities_; }
   bool empty() const { return num_facilities_ == 0; }
 
  private:
   struct FacEntry {
-    uint64_t edge_packed = FlatU64Map::kEmptyKey;  // sentinel = absent
+    uint64_t edge_packed = FlatU64Map::kEmptyKey;  // sentinel = removed
     uint32_t pos = 0;  // position in the edge row, for swap-erase
   };
 
+  const FacEntry* Find(graph::FacilityId fac) const {
+    uint32_t i = entry_of_.Find(fac);
+    return i == FlatU64Map::kNoValue ? nullptr : &entries_[i];
+  }
+
   FlatU64Map edges_;  // packed edge -> row in edge_rows_
   std::vector<std::vector<graph::FacilityId>> edge_rows_;
-  std::vector<FacEntry> fac_entries_;  // FacilityId-indexed
+  FlatU64Map entry_of_;  // FacilityId -> index in entries_ (kept on Remove)
+  std::vector<FacEntry> entries_;
   size_t num_facilities_ = 0;
 };
 
@@ -90,6 +97,11 @@ class NodePruner {
 };
 
 /// Incremental NN expansion for one cost type over a FetchProvider.
+///
+/// Its per-node and per-facility distances and its heap live in a
+/// QueryWorkspace (DESIGN.md §4): the engine hands each expansion a column
+/// of shared tables, so construction costs O(1) and the workspace's owner
+/// resets them in O(what the query touched).
 class SingleExpansion {
  public:
   struct Stats {
@@ -101,7 +113,10 @@ class SingleExpansion {
   };
 
   /// `fetch` must outlive the expansion and is typically shared among the d
-  /// expansions of a query.
+  /// expansions of a query; `scratch` (clean, from a QueryWorkspace) too.
+  SingleExpansion(int cost_index, FetchProvider* fetch,
+                  const ExpansionScratch& scratch);
+  /// Standalone: the expansion builds and owns a private workspace.
   SingleExpansion(int cost_index, FetchProvider* fetch);
 
   /// Seeding (before the first Step): the query location and, when it lies
@@ -117,7 +132,7 @@ class SingleExpansion {
   /// +infinity when exhausted.
   double FrontierKey() const;
 
-  bool exhausted() const { return heap_.empty(); }
+  bool exhausted() const { return heap_->empty(); }
 
   /// nullptr = no filter (growing stage: every facility is en-heaped).
   void set_filter(const FacilityFilter* filter) { filter_ = filter; }
@@ -135,27 +150,24 @@ class SingleExpansion {
   int cost_index() const { return cost_index_; }
   const Stats& stats() const { return stats_; }
 
-  bool NodeSettled(graph::NodeId v) const { return node_dist_[v] == kSettled; }
+  bool NodeSettled(graph::NodeId v) const {
+    return nodes_->Get(v, column_) == kSettled;
+  }
   bool FacilitySettled(graph::FacilityId f) const {
-    return fac_dist_[f] == kSettled;
+    return facs_->Get(f, column_) == kSettled;
   }
   /// Tentative distance of an unsettled node: its best live heap key, or
   /// +infinity when never relaxed. Meaningless (the kSettled sentinel) once
   /// the node settles — callers check NodeSettled first. Always an upper
   /// bound on the node's true distance.
-  double NodeTentativeKey(graph::NodeId v) const { return node_dist_[v]; }
+  double NodeTentativeKey(graph::NodeId v) const {
+    return nodes_->Get(v, column_);
+  }
+  /// Whether a NodeTentativeKey result is the settled sentinel, so one
+  /// table lookup answers both NodeSettled and NodeTentativeKey.
+  static bool IsSettledKey(double key) { return key == kSettled; }
 
  private:
-  struct HeapItem {
-    double key;
-    uint64_t tagged_id;  // bit kFacilityTag marks facilities
-  };
-  struct HeapItemBefore {
-    bool operator()(const HeapItem& a, const HeapItem& b) const {
-      if (a.key != b.key) return a.key < b.key;
-      return a.tagged_id < b.tagged_id;  // deterministic tie-break
-    }
-  };
   static constexpr uint64_t kFacilityTag = 1ull << 32;
   /// Sentinel stored in a dist slot once the element settles: every real
   /// key is finite and non-negative, so `key >= dist` rejects re-pushes and
@@ -163,6 +175,7 @@ class SingleExpansion {
   /// settled-flag array.
   static constexpr double kSettled = -std::numeric_limits<double>::infinity();
 
+  void Bind(const ExpansionScratch& scratch);
   void PushNode(graph::NodeId v, double key);
   void PushFacility(graph::FacilityId f, double key);
   /// Settles node `v`: fetches its adjacency, relaxes neighbors, en-heaps
@@ -171,11 +184,14 @@ class SingleExpansion {
 
   int cost_index_;
   FetchProvider* fetch_;
-  DaryHeap<HeapItem, HeapItemBefore> heap_;
-  // Tentative distance per node/facility; kSettled once settled (no
-  // separate flag array — see kSettled).
-  std::vector<double> node_dist_;
-  std::vector<double> fac_dist_;
+  /// Set only by the standalone constructor; the scratch below points in.
+  std::unique_ptr<QueryWorkspace> own_workspace_;
+  // Tentative distance per node/facility in column column_; kSettled once
+  // settled (no separate flag array — see kSettled).
+  DistTable* nodes_ = nullptr;
+  DistTable* facs_ = nullptr;
+  int column_ = 0;
+  ExpansionHeap* heap_ = nullptr;
   const FacilityFilter* filter_ = nullptr;
   NodePruner* pruner_ = nullptr;
   const CancelToken* cancel_ = nullptr;

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "mcn/common/macros.h"
+#include "mcn/expand/query_workspace.h"
 #include "mcn/storage/slotted_page.h"
 
 namespace mcn::net {
@@ -46,6 +47,13 @@ NetworkReader::NetworkReader(const NetworkFiles& files,
     : files_(files), pool_(pool) {
   MCN_CHECK(pool != nullptr);
 }
+
+// Out of line, like the destructor: the workspace type is complete only
+// here.
+NetworkReader::NetworkReader(const NetworkFiles& files)
+    : files_(files), pool_(nullptr) {}
+
+NetworkReader::~NetworkReader() = default;
 
 Status NetworkReader::GetAdjacency(graph::NodeId node,
                                    std::vector<AdjEntry>* out) const {

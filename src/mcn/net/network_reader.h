@@ -10,6 +10,7 @@
 #ifndef MCN_NET_NETWORK_READER_H_
 #define MCN_NET_NETWORK_READER_H_
 
+#include <memory>
 #include <vector>
 
 #include "mcn/common/result.h"
@@ -20,6 +21,10 @@
 #include "mcn/obs/trace.h"
 #include "mcn/storage/buffer_pool.h"
 
+namespace mcn::expand {
+class QueryWorkspace;
+}  // namespace mcn::expand
+
 namespace mcn::net {
 
 /// Read-side handle over a built network. Not thread-safe (shares the pool);
@@ -29,7 +34,7 @@ class NetworkReader {
   /// `pool` must outlive the reader and be backed by the DiskManager the
   /// network was built on.
   NetworkReader(const NetworkFiles& files, storage::BufferPool* pool);
-  virtual ~NetworkReader() = default;
+  virtual ~NetworkReader();
 
   int num_costs() const { return files_.num_costs; }
   uint32_t num_nodes() const { return files_.num_nodes; }
@@ -77,18 +82,25 @@ class NetworkReader {
   void set_trace_fetches(bool v) { trace_fetches_ = v; }
   bool trace_fetches() const { return trace_fetches_; }
 
+  /// The reusable query workspace this reader lends to the engines built
+  /// over it (expand::WorkspaceLease; DESIGN.md §6). Empty while an engine
+  /// holds it. Confined to the reader's thread, like the reader.
+  std::unique_ptr<expand::QueryWorkspace>& workspace_slot() const {
+    return workspace_;
+  }
+
  protected:
   /// For routing subclasses that own per-shard pools instead of one flat
   /// pool: `files` carries the global metadata (counts, d, total pages);
   /// its file ids/trees are not meaningful and the base record getters
   /// must all be overridden.
-  explicit NetworkReader(const NetworkFiles& files)
-      : files_(files), pool_(nullptr) {}
+  explicit NetworkReader(const NetworkFiles& files);
 
  private:
   NetworkFiles files_;
   storage::BufferPool* pool_;
   bool trace_fetches_ = true;
+  mutable std::unique_ptr<expand::QueryWorkspace> workspace_;
 };
 
 }  // namespace mcn::net

@@ -414,5 +414,102 @@ TEST(ApiSessionTest, SessionsSurviveAcrossSubmitTraffic) {
   (*service)->Shutdown();
 }
 
+// Sessions keep their own reader, and so their own query workspace
+// (DESIGN.md §6). On a single worker, one-shot queries that lease and reset
+// the worker reader's workspace between a session's batches must not
+// perturb the stream: batch by batch, the rows must be byte-identical to a
+// local IncrementalTopK replay. Flat, and sharded (K = 2), where the
+// session's reader is a shard::ShardedNetworkReader.
+TEST(ApiSessionTest, SessionBatchesIsolatedFromInterleavedOneShots) {
+  gen::ExperimentConfig config;
+  config.nodes = 400;
+  config.edges = 520;
+  config.facilities = 60;
+  config.clusters = 4;
+  config.num_costs = 3;
+  config.seed = 23;
+  auto flat = gen::BuildInstance(config);
+  ASSERT_TRUE(flat.ok());
+  gen::Instance& instance = *flat.value();
+  const int d = config.num_costs;
+  Random rng(77);
+  const api::QuerySpec spec = api::IncrementalSpec(
+      instance.RandomQueryLocation(rng), 4, test::TestWeights(d, 5));
+
+  // The local replay: a fresh iterator over its own reader.
+  std::vector<algo::TopKEntry> expected;
+  {
+    storage::BufferPool pool(&instance.disk, instance.pool->capacity());
+    net::NetworkReader reader(instance.files, &pool);
+    auto engine = expand::MakeEngine(spec.engine, &reader, spec.location);
+    ASSERT_TRUE(engine.ok());
+    algo::IncrementalTopK local(engine.value().get(),
+                                algo::WeightedSum(spec.preference.weights));
+    for (;;) {
+      auto next = local.NextBest();
+      ASSERT_TRUE(next.ok());
+      if (!next.value().has_value()) break;
+      expected.push_back(*std::move(next).value());
+    }
+  }
+  ASSERT_GT(expected.size(), 10u);
+
+  std::vector<api::QuerySpec> one_shots;
+  for (int i = 0; i < 6; ++i) {
+    const graph::Location loc = instance.RandomQueryLocation(rng);
+    api::QuerySpec q = i % 2 == 0
+                           ? api::SkylineSpec(loc)
+                           : api::TopKSpec(loc, 3, test::TestWeights(d, i));
+    q.parallelism = i % 3;
+    one_shots.push_back(q);
+  }
+
+  for (int shards : {0, 2}) {
+    SCOPED_TRACE(shards == 0 ? "flat" : "sharded K=2");
+    ServiceOptions opts;
+    opts.num_workers = 1;
+    opts.per_query_parallelism = 2;
+    std::unique_ptr<gen::ShardedInstance> sharded;
+    std::unique_ptr<QueryService> service;
+    if (shards == 0) {
+      opts.pool_frames_per_worker = instance.pool->capacity();
+      service =
+          QueryService::Create(&instance.disk, instance.files, opts).value();
+    } else {
+      sharded = gen::BuildShardedInstance(config, shards).value();
+      opts.pool_frames_per_worker = sharded->pool_frames;
+      service = QueryService::Create(&sharded->storage, sharded->files, opts)
+                    .value();
+      ASSERT_TRUE(service->sharded());
+    }
+    auto session = service->OpenSession(spec);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    size_t offset = 0;
+    for (int round = 0; offset < expected.size(); ++round) {
+      // One-shot traffic through the only worker between batches.
+      for (const api::QuerySpec& q : one_shots) {
+        QueryResult noise = service->Submit(q).get();
+        ASSERT_TRUE(noise.status.ok()) << noise.status.ToString();
+      }
+      const int n = 1 + round % 4;
+      QueryResult batch = service->SessionNext(*session, n).get();
+      ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
+      const size_t end = std::min(expected.size(), offset + n);
+      ASSERT_EQ(batch.topk.size(), end - offset) << "round " << round;
+      const std::vector<algo::TopKEntry> want(expected.begin() + offset,
+                                              expected.begin() + end);
+      EXPECT_EQ(algo::HashResult(batch.topk), algo::HashResult(want))
+          << "round " << round;
+      for (size_t r = 0; r < want.size(); ++r) {
+        EXPECT_EQ(batch.topk[r].facility, want[r].facility);
+        EXPECT_EQ(batch.topk[r].score, want[r].score);
+      }
+      offset = end;
+    }
+    EXPECT_EQ(service->CloseSession(*session), Status::OK());
+    service->Shutdown();
+  }
+}
+
 }  // namespace
 }  // namespace mcn::exec
