@@ -3,9 +3,9 @@
 // reported/eliminated records). Replaces the per-pop unordered_map lookups
 // of the original implementation with
 //
-//  * a sparse FacilityId -> slot map (`slot_of_`), sized by the facilities
-//    the query met rather than by |P|, so building and dropping a store
-//    costs O(what the query touched) (DESIGN.md §4),
+//  * a FacilityId-indexed slot directory (`slot_of_`, one u32 per facility
+//    in the network — the expansions already keep per-facility arrays of
+//    the same size, so this adds no asymptotic memory),
 //  * compact slot records appended in first-seen order, cost rows stored
 //    contiguously (one CostVector per slot) so dominance sweeps stream
 //    through memory instead of chasing hash buckets, and
@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "mcn/common/flat_u64_map.h"
 #include "mcn/common/macros.h"
 #include "mcn/graph/cost_vector.h"
 #include "mcn/graph/multi_cost_graph.h"
@@ -49,9 +48,8 @@ class CandidateStore {
     bool Knows(int i) const { return (known_mask >> i) & 1u; }
   };
 
-  /// `num_facilities` bounds the ids the store may be asked about.
   CandidateStore(uint32_t num_facilities, int d, double fill)
-      : d_(d), fill_(fill), num_facilities_(num_facilities) {
+      : d_(d), fill_(fill), slot_of_(num_facilities, kNoSlot) {
     slots_.reserve(64);
     costs_.reserve(64);
   }
@@ -61,20 +59,20 @@ class CandidateStore {
 
   /// Slot of facility `f`, or kNoSlot when unseen.
   uint32_t Find(graph::FacilityId f) const {
-    MCN_DCHECK(f < num_facilities_);
-    static_assert(kNoSlot == FlatU64Map::kNoValue);
-    return slot_of_.Find(f);
+    MCN_DCHECK(f < slot_of_.size());
+    return slot_of_[f];
   }
 
   /// Slot of `f`, creating a fresh record (costs = fill) when unseen.
   uint32_t Acquire(graph::FacilityId f, bool* created) {
-    uint32_t s = Find(f);
+    MCN_DCHECK(f < slot_of_.size());
+    uint32_t s = slot_of_[f];
     if (s != kNoSlot) {
       *created = false;
       return s;
     }
     s = static_cast<uint32_t>(slots_.size());
-    slot_of_.Insert(f, s);
+    slot_of_[f] = s;
     slots_.emplace_back();
     slots_.back().id = f;
     costs_.emplace_back(d_, fill_);
@@ -146,8 +144,7 @@ class CandidateStore {
  private:
   int d_;
   double fill_;
-  [[maybe_unused]] uint32_t num_facilities_;  // debug bound only
-  FlatU64Map slot_of_;
+  std::vector<uint32_t> slot_of_;
   std::vector<Slot> slots_;
   std::vector<graph::CostVector> costs_;
   std::vector<uint32_t> candidates_;

@@ -1,8 +1,9 @@
 // DaryHeap: a cache-friendly 4-ary min-heap replacing std::priority_queue
 // on the expansion hot path. A node's four children share one cache line
 // of 16-byte HeapItems, so sift-down touches ~half the lines of a binary
-// heap at the same comparison count; the backing vector is reserved up
-// front so pushes never allocate mid-query (DESIGN.md §4).
+// heap at the same comparison count. An expansion's heap lives in its
+// QueryWorkspace and keeps its backing vector across queries, so pushes
+// allocate only while a workspace is new (DESIGN.md §4).
 //
 // The element order is a strict weak ordering supplied via `Before`
 // (before(a, b) == a must pop earlier). Pop order for a fixed input set is
@@ -18,6 +19,18 @@
 #include "mcn/common/macros.h"
 
 namespace mcn::expand {
+
+/// Empties `v`; when its capacity exceeds `keep`, swaps in one reserved to
+/// `keep`, releasing the rest.
+template <typename T>
+void ClearAndTrim(std::vector<T>& v, size_t keep) {
+  v.clear();
+  if (v.capacity() > keep) {
+    std::vector<T> fresh;
+    fresh.reserve(keep);
+    v.swap(fresh);
+  }
+}
 
 template <typename T, typename Before>
 class DaryHeap {
@@ -52,16 +65,8 @@ class DaryHeap {
   }
 
   void clear() { items_.clear(); }
-  /// Empties the heap and, when its capacity exceeds `n`, swaps the
-  /// backing store for one reserved to `n` (releasing the rest).
-  void ClearAndTrim(size_t n) {
-    items_.clear();
-    if (items_.capacity() > n) {
-      std::vector<T> fresh;
-      fresh.reserve(n);
-      items_.swap(fresh);
-    }
-  }
+  /// Empties the heap, keeping room for at most `n` items.
+  void ClearAndTrim(size_t n) { mcn::expand::ClearAndTrim(items_, n); }
 
  private:
   void SiftUp(size_t i) {

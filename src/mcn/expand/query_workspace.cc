@@ -38,12 +38,7 @@ ExpansionScratch QueryWorkspace::ScratchFor(int i, int d,
     node_tables_.emplace_back(num_nodes_);
     fac_tables_.emplace_back(num_facilities_);
   }
-  while (heaps_.size() <= static_cast<size_t>(i)) {
-    // Queries are local: a few thousand frontier entries cover typical
-    // runs, and a deeper expansion grows the heap geometrically.
-    heaps_.emplace_back();
-    heaps_.back().reserve(kRetainedSlots);
-  }
+  while (heaps_.size() <= static_cast<size_t>(i)) heaps_.emplace_back();
   ExpansionScratch scratch;
   scratch.nodes = &node_tables_[table];
   scratch.facilities = &fac_tables_[table];

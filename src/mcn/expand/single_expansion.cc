@@ -7,13 +7,8 @@
 namespace mcn::expand {
 
 void FacilityFilter::Add(graph::EdgeKey edge, graph::FacilityId fac) {
-  uint32_t i = entry_of_.Find(fac);
-  if (i == FlatU64Map::kNoValue) {
-    i = static_cast<uint32_t>(entries_.size());
-    entries_.emplace_back();
-    entry_of_.Insert(fac, i);
-  }
-  FacEntry& entry = entries_[i];
+  if (fac >= fac_entries_.size()) fac_entries_.resize(fac + 1);
+  FacEntry& entry = fac_entries_[fac];
   if (entry.edge_packed != FlatU64Map::kEmptyKey) {
     // A facility lies on exactly one edge: a re-add under a different edge
     // means the caller's bookkeeping is corrupt.
@@ -33,9 +28,8 @@ void FacilityFilter::Add(graph::EdgeKey edge, graph::FacilityId fac) {
 }
 
 bool FacilityFilter::Remove(graph::FacilityId fac) {
-  uint32_t i = entry_of_.Find(fac);
-  if (i == FlatU64Map::kNoValue) return false;
-  FacEntry& entry = entries_[i];
+  if (fac >= fac_entries_.size()) return false;
+  FacEntry& entry = fac_entries_[fac];
   if (entry.edge_packed == FlatU64Map::kEmptyKey) return false;
   uint32_t row = edges_.Find(entry.edge_packed);
   MCN_DCHECK(row != FlatU64Map::kNoValue);
@@ -43,7 +37,7 @@ bool FacilityFilter::Remove(graph::FacilityId fac) {
   MCN_DCHECK(entry.pos < vec.size() && vec[entry.pos] == fac);
   graph::FacilityId moved = vec.back();
   vec[entry.pos] = moved;
-  entries_[entry_of_.Find(moved)].pos = entry.pos;
+  fac_entries_[moved].pos = entry.pos;
   vec.pop_back();
   // The (possibly now empty) edge row is retained: ContainsEdge checks
   // emptiness, and a later Add may refill it without re-probing the map.
@@ -54,25 +48,14 @@ bool FacilityFilter::Remove(graph::FacilityId fac) {
 
 SingleExpansion::SingleExpansion(int cost_index, FetchProvider* fetch,
                                  const ExpansionScratch& scratch)
-    : cost_index_(cost_index), fetch_(fetch) {
-  Bind(scratch);
-}
-
-SingleExpansion::SingleExpansion(int cost_index, FetchProvider* fetch)
-    : cost_index_(cost_index), fetch_(fetch) {
-  MCN_CHECK(fetch != nullptr);
-  own_workspace_ = std::make_unique<QueryWorkspace>(fetch->num_nodes(),
-                                                    fetch->num_facilities());
-  Bind(own_workspace_->ScratchFor(0, 1, /*private_tables=*/true));
-}
-
-void SingleExpansion::Bind(const ExpansionScratch& scratch) {
+    : cost_index_(cost_index),
+      fetch_(fetch),
+      nodes_(scratch.nodes),
+      facs_(scratch.facilities),
+      column_(scratch.column),
+      heap_(scratch.heap) {
   MCN_CHECK(fetch_ != nullptr);
   MCN_CHECK(cost_index_ >= 0 && cost_index_ < fetch_->num_costs());
-  nodes_ = scratch.nodes;
-  facs_ = scratch.facilities;
-  column_ = scratch.column;
-  heap_ = scratch.heap;
   MCN_CHECK(nodes_ != nullptr && facs_ != nullptr && heap_ != nullptr);
   MCN_CHECK(column_ >= 0 && column_ < nodes_->stride() &&
             column_ < facs_->stride());

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "mcn/common/cancel.h"
@@ -34,10 +33,10 @@ struct ExpansionEvent {
 
 /// The shrinking-stage candidate set, addressed by edge so expansions can
 /// decide — while scanning an adjacency entry — whether the edge's facility
-/// record is worth reading. Facility membership is a sparse FacilityId ->
-/// entry map sized by the candidates, not by |P| (DESIGN.md §4), so
-/// Allows/Remove are O(1) expected; the per-edge lists use swap-erase (an
-/// eliminated candidate's slot is backfilled by the list tail).
+/// record is worth reading. Facility membership is a FacilityId-indexed
+/// flat directory, so Allows/Remove are O(1); the per-edge lists use
+/// swap-erase (an eliminated candidate's slot is backfilled by the list
+/// tail).
 class FacilityFilter {
  public:
   /// Registers `fac` on `edge`. Re-adding an already-present facility is a
@@ -53,32 +52,26 @@ class FacilityFilter {
     return row != FlatU64Map::kNoValue && !edge_rows_[row].empty();
   }
   bool Allows(const graph::EdgeKey& edge, graph::FacilityId fac) const {
-    const FacEntry* entry = Find(fac);
-    return entry != nullptr && entry->edge_packed == edge.Pack();
+    return fac < fac_entries_.size() &&
+           fac_entries_[fac].edge_packed == edge.Pack();
   }
   /// Whether `fac` is currently registered (on any edge).
   bool Contains(graph::FacilityId fac) const {
-    const FacEntry* entry = Find(fac);
-    return entry != nullptr && entry->edge_packed != FlatU64Map::kEmptyKey;
+    return fac < fac_entries_.size() &&
+           fac_entries_[fac].edge_packed != FlatU64Map::kEmptyKey;
   }
   size_t num_facilities() const { return num_facilities_; }
   bool empty() const { return num_facilities_ == 0; }
 
  private:
   struct FacEntry {
-    uint64_t edge_packed = FlatU64Map::kEmptyKey;  // sentinel = removed
+    uint64_t edge_packed = FlatU64Map::kEmptyKey;  // sentinel = absent
     uint32_t pos = 0;  // position in the edge row, for swap-erase
   };
 
-  const FacEntry* Find(graph::FacilityId fac) const {
-    uint32_t i = entry_of_.Find(fac);
-    return i == FlatU64Map::kNoValue ? nullptr : &entries_[i];
-  }
-
   FlatU64Map edges_;  // packed edge -> row in edge_rows_
   std::vector<std::vector<graph::FacilityId>> edge_rows_;
-  FlatU64Map entry_of_;  // FacilityId -> index in entries_ (kept on Remove)
-  std::vector<FacEntry> entries_;
+  std::vector<FacEntry> fac_entries_;  // FacilityId-indexed
   size_t num_facilities_ = 0;
 };
 
@@ -116,8 +109,6 @@ class SingleExpansion {
   /// expansions of a query; `scratch` (clean, from a QueryWorkspace) too.
   SingleExpansion(int cost_index, FetchProvider* fetch,
                   const ExpansionScratch& scratch);
-  /// Standalone: the expansion builds and owns a private workspace.
-  SingleExpansion(int cost_index, FetchProvider* fetch);
 
   /// Seeding (before the first Step): the query location and, when it lies
   /// on an edge, the direct along-edge facility distances.
@@ -175,7 +166,6 @@ class SingleExpansion {
   /// settled-flag array.
   static constexpr double kSettled = -std::numeric_limits<double>::infinity();
 
-  void Bind(const ExpansionScratch& scratch);
   void PushNode(graph::NodeId v, double key);
   void PushFacility(graph::FacilityId f, double key);
   /// Settles node `v`: fetches its adjacency, relaxes neighbors, en-heaps
@@ -184,8 +174,6 @@ class SingleExpansion {
 
   int cost_index_;
   FetchProvider* fetch_;
-  /// Set only by the standalone constructor; the scratch below points in.
-  std::unique_ptr<QueryWorkspace> own_workspace_;
   // Tentative distance per node/facility in column column_; kSettled once
   // settled (no separate flag array — see kSettled).
   DistTable* nodes_ = nullptr;

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 
 #include "mcn/expand/dijkstra.h"
 #include "mcn/expand/fetch_provider.h"
+#include "mcn/expand/query_workspace.h"
 #include "mcn/expand/single_expansion.h"
 #include "test_util.h"
 
@@ -27,7 +29,7 @@ class ExpansionTest : public ::testing::Test {
   /// All facility NNs in pop order for one cost type.
   std::vector<FacilityOnEdgeOrder> DrainNNs(int ci, const Location& q,
                                             FetchProvider* fetch) {
-    SingleExpansion exp(ci, fetch);
+    SingleExpansion exp(ci, fetch, Scratch(fetch));
     SeedExpansion(exp, ci, q, fetch);
     std::vector<FacilityOnEdgeOrder> result;
     for (;;) {
@@ -38,6 +40,13 @@ class ExpansionTest : public ::testing::Test {
       }
     }
     return result;
+  }
+
+  /// Clean scratch for one expansion, from a workspace the fixture keeps
+  /// alive for the rest of the test.
+  ExpansionScratch Scratch(FetchProvider* fetch) {
+    workspaces_.emplace_back(fetch->num_nodes(), fetch->num_facilities());
+    return workspaces_.back().ScratchFor(0, 1, /*private_tables=*/true);
   }
 
   static void SeedExpansion(SingleExpansion& exp, int ci, const Location& q,
@@ -56,6 +65,7 @@ class ExpansionTest : public ::testing::Test {
   }
 
   test::DiskFixture fixture_;
+  std::deque<QueryWorkspace> workspaces_;
 };
 
 TEST_F(ExpansionTest, NnOrderMatchesOracleForBothCosts) {
@@ -107,7 +117,7 @@ TEST_F(ExpansionTest, EachFacilityReportedOnce) {
 TEST_F(ExpansionTest, FrontierKeyIsMonotoneLowerBound) {
   Location q = Location::AtNode(0);
   DirectFetch fetch(fixture_.reader.get());
-  SingleExpansion exp(0, &fetch);
+  SingleExpansion exp(0, &fetch, Scratch(&fetch));
   SeedExpansion(exp, 0, q, &fetch);
   double last_event = 0.0;
   for (;;) {
@@ -136,7 +146,7 @@ TEST_F(ExpansionTest, FilterRestrictsToCandidateEdges) {
   FacilityFilter filter;
   filter.Add(EdgeKey(7, 8), 2);
 
-  SingleExpansion exp(0, &fetch);
+  SingleExpansion exp(0, &fetch, Scratch(&fetch));
   exp.set_filter(&filter);
   SeedExpansion(exp, 0, q, &fetch);
   std::vector<graph::FacilityId> popped;
@@ -152,7 +162,7 @@ TEST_F(ExpansionTest, FilterRestrictsToCandidateEdges) {
 TEST_F(ExpansionTest, FilterInstalledMidwayIgnoresNewFacilities) {
   Location q = Location::AtNode(0);
   DirectFetch fetch(fixture_.reader.get());
-  SingleExpansion exp(0, &fetch);
+  SingleExpansion exp(0, &fetch, Scratch(&fetch));
   SeedExpansion(exp, 0, q, &fetch);
   // First facility pops normally.
   ExpansionEvent first;
