@@ -43,6 +43,7 @@
 #include "harness.h"
 #include "mcn/algo/result_hash.h"
 #include "mcn/algo/skyline_query.h"
+#include "mcn/api/query_spec.h"
 #include "mcn/common/macros.h"
 #include "mcn/common/random.h"
 #include "mcn/common/stopwatch.h"
@@ -103,11 +104,9 @@ ServiceRun RunService(gen::Instance& instance, expand::EngineKind kind,
   futures.reserve(locations.size());
   Stopwatch wall;
   for (const graph::Location& loc : locations) {
-    exec::QueryRequest request;
-    request.kind = exec::QueryKind::kSkyline;
-    request.engine = kind;
-    request.location = loc;
-    futures.push_back((*service)->Submit(std::move(request)));
+    api::QuerySpec spec = api::SkylineSpec(loc);
+    spec.engine = kind;
+    futures.push_back((*service)->Submit(std::move(spec)));
   }
 
   ServiceRun run;

@@ -3,10 +3,11 @@
 // Builds the fig. 8(a) base configuration once per shard count K in
 // {1, 2, 4} — the *same* generated network every time, laid out as K
 // per-tile file sets — and serves an identical fixed set of skyline
-// queries through a shard-affine exec::QueryService at a fixed worker
-// count, for both engine flavors. Submit routes each query to the worker
-// group owning its location; per-miss I/O stalls are slept for real so
-// QPS reflects overlapped I/O across the shard pools.
+// queries through an exec::QueryService at a fixed worker count, for both
+// engine flavors. Any worker runs any query, bound to the query's home
+// shard (the shard owning its location) for the local/remote split;
+// per-miss I/O stalls are slept for real so QPS reflects overlapped I/O
+// across the shard pools.
 //
 // Pool memory model (MCN_SHARD_POOL_MODE): "socket" (default) gives every
 // shard pool the full per-worker frame budget — the ROADMAP's per-socket
@@ -30,7 +31,6 @@
 //   MCN_SHARD_WORKERS        service workers per sweep point (default 4)
 //   MCN_SHARD_REQUESTS       queries per sweep point         (default 96)
 //   MCN_SHARD_STALL_US       slept stall per miss, in us     (default 20)
-//   MCN_SHARD_PIN_WORKERS    1 = pin worker threads (default 0: CI-safe)
 //   MCN_SHARD_POOL_MODE      "socket" (default) or "split"; see above
 //   MCN_SHARD_MIN_QPS_RATIO  abort threshold, 0 disables
 #include <cinttypes>
@@ -43,6 +43,7 @@
 #include "harness.h"
 #include "mcn/algo/result_hash.h"
 #include "mcn/algo/skyline_query.h"
+#include "mcn/api/query_spec.h"
 #include "mcn/common/macros.h"
 #include "mcn/common/random.h"
 #include "mcn/common/stopwatch.h"
@@ -79,7 +80,7 @@ Reference DirectReference(gen::Instance& instance, expand::EngineKind kind,
 
 RunMetrics RunSharded(gen::ShardedInstance& instance,
                       expand::EngineKind kind, int workers, double stall_us,
-                      bool pin, bool split_pools, const BenchEnv& env,
+                      bool split_pools, const BenchEnv& env,
                       const std::vector<graph::Location>& locations,
                       const Reference& ref) {
   exec::ServiceOptions opts;
@@ -88,7 +89,6 @@ RunMetrics RunSharded(gen::ShardedInstance& instance,
   opts.pool_frames_per_worker = instance.pool_frames;
   opts.io_latency_ms = stall_us / 1000.0;
   opts.simulate_io_stalls = stall_us > 0;
-  opts.pin_workers = pin;
   opts.split_pool_across_shards = split_pools;
   auto service =
       exec::QueryService::Create(&instance.storage, instance.files, opts);
@@ -98,11 +98,9 @@ RunMetrics RunSharded(gen::ShardedInstance& instance,
   futures.reserve(locations.size());
   Stopwatch wall;
   for (const graph::Location& loc : locations) {
-    exec::QueryRequest request;
-    request.kind = exec::QueryKind::kSkyline;
-    request.engine = kind;
-    request.location = loc;
-    futures.push_back((*service)->Submit(std::move(request)));
+    api::QuerySpec spec = api::SkylineSpec(loc);
+    spec.engine = kind;
+    futures.push_back((*service)->Submit(std::move(spec)));
   }
 
   RunMetrics metrics;
@@ -151,7 +149,6 @@ int Main() {
   const int num_requests =
       static_cast<int>(EnvDouble("MCN_SHARD_REQUESTS", 96));
   const double stall_us = EnvDouble("MCN_SHARD_STALL_US", 20.0);
-  const bool pin = EnvDouble("MCN_SHARD_PIN_WORKERS", 0) > 0;
   const char* pool_mode_env = std::getenv("MCN_SHARD_POOL_MODE");
   const std::string pool_mode =
       pool_mode_env != nullptr && *pool_mode_env != '\0' ? pool_mode_env
@@ -187,10 +184,10 @@ int Main() {
               "(fig. 8(a) base)",
               "shards", scaled, env);
   std::printf(
-      "workers=%d requests/point=%d stall/miss=%.1fus pin=%d pools=%s "
+      "workers=%d requests/point=%d stall/miss=%.1fus pools=%s "
       "(MCN_SHARD_WORKERS / MCN_SHARD_REQUESTS / MCN_SHARD_STALL_US / "
-      "MCN_SHARD_PIN_WORKERS / MCN_SHARD_POOL_MODE)\n",
-      workers, num_requests, stall_us, pin ? 1 : 0, pool_mode.c_str());
+      "MCN_SHARD_POOL_MODE)\n",
+      workers, num_requests, stall_us, pool_mode.c_str());
 
   const int shard_sweep[] = {1, 2, 4};
   double qps_k1 = 0, qps_k4 = 0;
@@ -199,10 +196,10 @@ int Main() {
     auto instance = gen::BuildShardedInstance(scaled, k);
     MCN_CHECK(instance.ok());
     RunMetrics lsa = RunSharded(**instance, expand::EngineKind::kLsa,
-                                workers, stall_us, pin, split_pools, env,
+                                workers, stall_us, split_pools, env,
                                 locations, ref_lsa);
     RunMetrics cea = RunSharded(**instance, expand::EngineKind::kCea,
-                                workers, stall_us, pin, split_pools, env,
+                                workers, stall_us, split_pools, env,
                                 locations, ref_cea);
     if (k == 1 && (lsa.remote_fetches != 0 || cea.remote_fetches != 0)) {
       std::fprintf(stderr,

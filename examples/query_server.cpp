@@ -1,9 +1,9 @@
 // query_server: the preference-query service end to end (DESIGN.md §6,
 // §8, §9) — now an actual TCP server speaking the api/wire protocol.
 //
-// Builds a mid-sized instance, stands up an exec::QueryService with
-// shard-affine worker groups, and binds an api::Server on 127.0.0.1. Two
-// modes:
+// Builds a mid-sized instance, stands up an exec::QueryService (one
+// worker pool; each query bound to its home shard), and binds an
+// api::Server on 127.0.0.1. Two modes:
 //
 //   demo (default)   an in-process api::Client connects through the real
 //                    socket and drives a mixed workload — skyline, top-k
@@ -20,13 +20,11 @@
 //   --port=P         TCP port (default 0 = ephemeral; printed on start).
 //   --serve          foreground server mode (see above).
 //   --shards=K       serve from a K-way sharded layout (grid-tile
-//                    partition, affinity-routed execution). Default 1.
+//                    partition, routed record fetches). Default 1.
 //   --workers=N      service workers (default 4).
-//   --pin-workers    best-effort CPU pinning of each shard group's
-//                    threads (ignored where unsupported).
 //   --deadline-ms=D  per-request deadline stamped into every demo spec
 //                    (0 = none). Expired queries resolve DeadlineExceeded.
-//   --max-inflight=M admission cap per worker group; requests over the cap
+//   --max-inflight=M service-wide admission cap; requests over the cap
 //                    are load-shed with ResourceExhausted (0 = unbounded).
 //   --inject-faults=SPEC
 //                    install a deterministic fault injector, e.g.
@@ -81,7 +79,6 @@ struct Flags {
   bool serve = false;
   int shards = 1;
   int workers = 4;
-  bool pin_workers = false;
   int deadline_ms = 0;
   int max_inflight = 0;
   std::string inject_faults;
@@ -105,8 +102,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (std::strncmp(arg, "--workers=", 10) == 0) {
       flags->workers = std::atoi(arg + 10);
       if (flags->workers < 1) return false;
-    } else if (std::strcmp(arg, "--pin-workers") == 0) {
-      flags->pin_workers = true;
     } else if (std::strncmp(arg, "--deadline-ms=", 14) == 0) {
       flags->deadline_ms = std::atoi(arg + 14);
       if (flags->deadline_ms < 0) return false;
@@ -309,16 +304,16 @@ int RunDemo(QueryService& service, int port, int deadline_ms,
       static_cast<double>(stats.buffer_misses) /
           static_cast<double>(stats.completed ? stats.completed : 1));
 
-  // Per-shard table: who executed what, and how often expansions escaped
-  // their home tile (the §8 remote-fetch accounting).
+  // Per-shard table, keyed by each query's home shard: what completed
+  // there, and how often expansions escaped the tile (the §8 remote-fetch
+  // accounting).
   std::printf(
-      "\n  shard | workers | completed | misses   | local    | remote   | "
-      "remote%%\n"
-      "  ------+---------+-----------+----------+----------+----------+--------\n");
+      "\n  shard | completed | misses   | local    | remote   | remote%%\n"
+      "  ------+-----------+----------+----------+----------+--------\n");
   for (const auto& row : stats.per_shard) {
-    std::printf("  %5d | %7d | %9" PRIu64 " | %8" PRIu64 " | %8" PRIu64
+    std::printf("  %5d | %9" PRIu64 " | %8" PRIu64 " | %8" PRIu64
                 " | %8" PRIu64 " | %6.1f%%\n",
-                row.shard, row.workers, row.completed, row.buffer_misses,
+                row.shard, row.completed, row.buffer_misses,
                 row.local_fetches, row.remote_fetches,
                 100.0 * row.RemoteRatio());
   }
@@ -332,7 +327,7 @@ int main(int argc, char** argv) {
   if (!ParseFlags(argc, argv, &flags)) {
     std::fprintf(stderr,
                  "usage: %s [--port=P] [--serve] [--shards=K] [--workers=N] "
-                 "[--pin-workers] [--deadline-ms=D] [--max-inflight=M] "
+                 "[--deadline-ms=D] [--max-inflight=M] "
                  "[--inject-faults=SPEC] [--metrics-port=P] "
                  "[--trace-out=PATH] [--slow-query-ms=T] "
                  "[--slow-query-log=PATH]\n",
@@ -399,7 +394,6 @@ int main(int argc, char** argv) {
   options.queue_capacity = 256;
   options.pool_frames_per_worker = (*instance)->pool_frames;
   options.io_latency_ms = 5.0;  // accounted, not slept, in this demo
-  options.pin_workers = flags.pin_workers;
   options.max_inflight = static_cast<size_t>(flags.max_inflight);
   options.flight_recorder = flight_recorder.get();
   auto service = QueryService::Create(&(*instance)->storage,
@@ -419,11 +413,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "serving the wire protocol on 127.0.0.1:%d — %d workers in %d "
-      "shard-affine group(s), %zu-frame pool budget each%s\n",
-      (*server)->port(), (*service)->num_workers(), (*service)->num_groups(),
-      options.pool_frames_per_worker,
-      flags.pin_workers ? ", workers pinned (best effort)" : "");
+      "serving the wire protocol on 127.0.0.1:%d — %d workers, %zu-frame "
+      "pool budget each\n",
+      (*server)->port(), (*service)->num_workers(),
+      options.pool_frames_per_worker);
 
   // Optional dedicated introspection endpoint: a second wire server over
   // the same service, so ops scrapes never queue behind query traffic.

@@ -104,9 +104,8 @@ void Server::Stop() {
   if (stopping_.exchange(true)) return;
   // Unblock accept(); closing also prevents new connections. Relying on
   // shutdown() of a *listening* socket to wake accept() is
-  // Linux-specific (this codebase targets Linux throughout — cf.
-  // sched_setaffinity in exec/affinity.cc); BSDs would need a
-  // self-pipe/eventfd wakeup here.
+  // Linux-specific (this codebase targets Linux throughout — cf. the
+  // io_uring backend); BSDs would need a self-pipe/eventfd wakeup here.
   ::shutdown(listen_fd_, SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
   ::close(listen_fd_);

@@ -10,7 +10,7 @@
 //
 // Concurrency model: one acceptor thread plus one thread per connection
 // (connections are long-lived clients; per-request concurrency comes from
-// the QueryService's worker groups, which the connection threads block
+// the QueryService's worker pool, which the connection threads block
 // on). A dedicated reaper thread joins finished connection threads as they
 // exit (condition-signalled, with a periodic timer sweep as backstop), so
 // a long-running server never accumulates dead threads or fds between

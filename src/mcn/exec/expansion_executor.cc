@@ -117,14 +117,6 @@ storage::BufferPool::Stats ExpansionExecutor::PoolStats() const {
   return total;
 }
 
-void ExpansionExecutor::ResetShardIoStats() {
-  if (storage_ == nullptr) return;
-  for (const auto& reader : readers_) {
-    static_cast<shard::ShardedNetworkReader*>(reader.get())
-        ->ResetShardIoStats();
-  }
-}
-
 void ExpansionExecutor::SetHomeShard(shard::ShardId home) {
   if (storage_ == nullptr) return;
   for (const auto& reader : readers_) {

@@ -53,11 +53,12 @@ class ExpansionExecutor {
   /// shard::ShardedNetworkReader — a per-shard pool set over the shared
   /// read-only ShardedStorage — instead of one flat pool. With
   /// `split_budget_across_shards` (the default), `pool_frames_per_slot`
-  /// is the slot's *total* budget, split evenly across the shard pools
-  /// (shard::FramesPerShard, iso-memory with the flat layout); without
-  /// it, every shard pool gets the full budget (the per-socket memory
-  /// model). The turn schedule, and hence results and record-level I/O
-  /// accounting, are identical to the flat executor for every K.
+  /// is the slot's *total* budget, split exactly across the shard pools
+  /// (shard::SplitFramesAcrossShards, iso-memory with the flat layout);
+  /// without it, every shard pool gets the full budget (the per-socket
+  /// memory model). The turn schedule, and hence results and
+  /// record-level I/O accounting, are identical to the flat executor for
+  /// every K.
   static Result<std::unique_ptr<ExpansionExecutor>> Create(
       shard::ShardedStorage* storage, const shard::ShardedNetworkFiles& files,
       int parallelism, size_t pool_frames_per_slot,
@@ -90,9 +91,6 @@ class ExpansionExecutor {
   /// Routed-fetch counters summed over all slots (zero for flat
   /// executors).
   shard::ShardedNetworkReader::ShardIoStats ShardIoStats() const;
-  /// Clears every slot reader's routed-fetch counters (sharded mode;
-  /// no-op on flat executors). Call only between queries.
-  void ResetShardIoStats();
   /// Binds every slot reader's affinity for the local/remote fetch split
   /// (sharded mode; no-op on flat executors). Call between queries.
   void SetHomeShard(shard::ShardId home);

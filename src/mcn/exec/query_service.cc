@@ -11,7 +11,6 @@
 #include "mcn/algo/topk_query.h"
 #include "mcn/api/wire.h"
 #include "mcn/common/macros.h"
-#include "mcn/exec/affinity.h"
 #include "mcn/exec/result_cache.h"
 
 namespace mcn::exec {
@@ -59,19 +58,6 @@ std::future<QueryResult> ReadyFailure(Status status) {
 
 }  // namespace
 
-api::QuerySpec QueryRequest::ToSpec() const {
-  api::QuerySpec spec;
-  spec.kind = kind;
-  spec.location = location;
-  spec.engine = engine;
-  spec.parallelism = parallelism;
-  spec.k = k;
-  // The legacy path ignored weights on skyline requests; keep that (a
-  // spec carrying weights on a skyline is a validation error).
-  if (kind != QueryKind::kSkyline) spec.preference.weights = weights;
-  return spec;
-}
-
 namespace {
 
 /// Everything but the row vectors.
@@ -85,6 +71,31 @@ api::QueryResponse ResponseScalars(const QueryResult& result) {
   response.exec_seconds = result.stats.exec_seconds;
   response.exhausted = result.exhausted;
   return response;
+}
+
+/// Routed-fetch counters of a sharded reader (or of every reader slot of a
+/// sharded probe rig), sampled before and after a query so the delta is
+/// the query's own local/remote split.
+struct RoutedFetches {
+  uint64_t local = 0;
+  uint64_t remote = 0;
+
+  void ChargeDelta(const RoutedFetches& after, QueryStats* stats) const {
+    stats->local_fetches = after.local - local;
+    stats->remote_fetches = after.remote - remote;
+  }
+};
+
+RoutedFetches Routed(const net::NetworkReader* sharded_reader) {
+  const auto io = static_cast<const shard::ShardedNetworkReader*>(
+                      sharded_reader)
+                      ->shard_io_stats();
+  return {io.local_fetches, io.remote_fetches};
+}
+
+RoutedFetches Routed(const ExpansionExecutor& executor) {
+  const auto io = executor.ShardIoStats();
+  return {io.local_fetches, io.remote_fetches};
 }
 
 }  // namespace
@@ -175,10 +186,11 @@ QueryService::QueryService(storage::DiskManager* disk,
   metrics_.latency_us = registry_.GetHistogram(mn::kLatencyUs);
   const int num_shards = storage != nullptr ? storage->num_shards() : 0;
   for (int s = 0; s < num_shards; ++s) {
-    metrics_.shard_completed.push_back(
-        registry_.GetCounter(mn::Shard(s, "completed")));
-    metrics_.shard_misses.push_back(
-        registry_.GetCounter(mn::Shard(s, "buffer_misses")));
+    metrics_.shards.push_back(
+        {registry_.GetCounter(mn::Shard(s, "completed")),
+         registry_.GetCounter(mn::Shard(s, "buffer_misses")),
+         registry_.GetCounter(mn::Shard(s, "local_fetches")),
+         registry_.GetCounter(mn::Shard(s, "remote_fetches"))});
   }
   const net::LandmarkIndexFiles& landmark_files =
       storage != nullptr ? sharded_files_.landmark : files_.landmark;
@@ -205,56 +217,24 @@ QueryService::QueryService(storage::DiskManager* disk,
   } else {
     disk_->BeginConcurrentReads();
   }
-  StartGroups();
-}
-
-void QueryService::StartGroups() {
-  // Shard-affine worker groups: one group per shard when the worker
-  // budget allows, otherwise min(K, workers) groups serving the shards
-  // round-robin (RouteGroupIndex). Flat services get the single PR-2
-  // group.
-  const int num_groups =
-      sharded() ? std::min(storage_->num_shards(), opts_.num_workers) : 1;
-  groups_.resize(num_groups);
-  int next_worker = 0;
-  for (int g = 0; g < num_groups; ++g) {
-    Group& group = groups_[g];
-    group.shard = static_cast<shard::ShardId>(g);
-    group.base = next_worker;
-    group.count = opts_.num_workers / num_groups +
-                  (g < opts_.num_workers % num_groups ? 1 : 0);
-    next_worker += group.count;
-    for (int w = group.base; w < group.base + group.count; ++w) {
-      Worker& worker = *workers_[w];
-      worker.home_shard = sharded() ? group.shard : shard::kInvalidShard;
-      if (sharded()) {
-        static_cast<shard::ShardedNetworkReader*>(worker.reader.get())
-            ->set_home_shard(worker.home_shard);
-      }
-    }
-    group.inflight = std::make_unique<std::atomic<int64_t>>(0);
-    group.pool = std::make_unique<ThreadPool<Task>>(
-        group.count, opts_.queue_capacity,
-        [this, g](Task&& task, int local_worker) {
-          Execute(std::move(task), groups_[g], local_worker);
-        },
-        [this, g](Task&& task) {
-          if (task.session != nullptr) {
-            task.session->inflight.fetch_sub(1, std::memory_order_acq_rel);
-          }
-          if (opts_.max_inflight > 0) {
-            groups_[g].inflight->fetch_sub(1, std::memory_order_acq_rel);
-          }
-          QueryResult discarded;
-          discarded.status = Status::FailedPrecondition(
-              "query discarded by non-draining shutdown");
-          // A flighted task that never runs must still settle its
-          // coalesced waiters (shared fate, never a hang).
-          AbandonCacheFlight(task, discarded.status);
-          task.promise.set_value(std::move(discarded));
-        });
-  }
-  MCN_CHECK(next_worker == opts_.num_workers);
+  pool_ = std::make_unique<ThreadPool<Task>>(
+      opts_.num_workers, opts_.queue_capacity,
+      [this](Task&& task, int worker) { Execute(std::move(task), worker); },
+      [this](Task&& task) {
+        if (task.session != nullptr) {
+          task.session->inflight.fetch_sub(1, std::memory_order_acq_rel);
+        }
+        if (opts_.max_inflight > 0) {
+          inflight_.fetch_sub(1, std::memory_order_acq_rel);
+        }
+        QueryResult discarded;
+        discarded.status = Status::FailedPrecondition(
+            "query discarded by non-draining shutdown");
+        // A flighted task that never runs must still settle its coalesced
+        // waiters (shared fate, never a hang).
+        AbandonCacheFlight(task, discarded.status);
+        task.promise.set_value(std::move(discarded));
+      });
 }
 
 QueryService::~QueryService() { Shutdown(/*drain=*/true); }
@@ -281,16 +261,16 @@ std::unique_ptr<net::NetworkReader> QueryService::MakeReader(
   return std::make_unique<net::NetworkReader>(files_, flat_pool->get());
 }
 
-int QueryService::RouteGroupIndex(const graph::Location& location) const {
-  if (groups_.size() == 1) return 0;
+shard::ShardId QueryService::HomeShard(
+    const graph::Location& location) const {
+  if (!sharded()) return shard::kInvalidShard;
   const shard::Partition& part = storage_->partition();
-  shard::ShardId s = 0;
   if (location.is_node()) {
-    if (location.node() < part.num_nodes()) s = part.of_node(location.node());
-  } else if (location.edge().u < part.num_nodes()) {
-    s = part.of_edge(location.edge());
+    return location.node() < part.num_nodes() ? part.of_node(location.node())
+                                              : 0;
   }
-  return static_cast<int>(s % groups_.size());
+  return location.edge().u < part.num_nodes() ? part.of_edge(location.edge())
+                                              : 0;
 }
 
 void QueryService::AbandonCacheFlight(Task& task, const Status& status) {
@@ -304,29 +284,28 @@ void QueryService::AbandonCacheFlight(Task& task, const Status& status) {
   task.cache_flight = nullptr;
 }
 
-std::future<QueryResult> QueryService::Enqueue(Task&& task, Group& group) {
+std::future<QueryResult> QueryService::Enqueue(Task&& task) {
   std::future<QueryResult> future = task.promise.get_future();
   if (opts_.max_inflight > 0) {
     // Admission control (DESIGN.md §10): never park the caller. The
     // in-flight ticket is taken optimistically and returned on any
     // rejection; Execute / the discard handler return it at completion.
-    auto& inflight = *group.inflight;
-    if (inflight.fetch_add(1, std::memory_order_acq_rel) >=
+    if (inflight_.fetch_add(1, std::memory_order_acq_rel) >=
         static_cast<int64_t>(opts_.max_inflight)) {
-      inflight.fetch_sub(1, std::memory_order_acq_rel);
+      inflight_.fetch_sub(1, std::memory_order_acq_rel);
       if (task.session != nullptr) {
         task.session->inflight.fetch_sub(1, std::memory_order_acq_rel);
       }
       metrics_.rejected->Add(1);
       Status shed = Status::ResourceExhausted(
-          "QueryService: group over max_inflight (" +
+          "QueryService: over max_inflight (" +
           std::to_string(opts_.max_inflight) + "), load shed");
       AbandonCacheFlight(task, shed);
       return ReadyFailure(std::move(shed));
     }
-    const auto outcome = group.pool->TrySubmit(std::move(task));
+    const auto outcome = pool_->TrySubmit(std::move(task));
     if (outcome == ThreadPool<Task>::TryResult::kAccepted) return future;
-    inflight.fetch_sub(1, std::memory_order_acq_rel);
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
     // TrySubmit left the task unconsumed: a session batch still owns its
     // ticket — return it before resolving.
     if (task.session != nullptr) {
@@ -335,7 +314,7 @@ std::future<QueryResult> QueryService::Enqueue(Task&& task, Group& group) {
     if (outcome == ThreadPool<Task>::TryResult::kFull) {
       metrics_.rejected->Add(1);
       Status shed = Status::ResourceExhausted(
-          "QueryService: group queue full, load shed");
+          "QueryService: queue full, load shed");
       AbandonCacheFlight(task, shed);
       return ReadyFailure(std::move(shed));
     }
@@ -343,7 +322,7 @@ std::future<QueryResult> QueryService::Enqueue(Task&& task, Group& group) {
     AbandonCacheFlight(task, down);
     return ReadyFailure(std::move(down));
   }
-  if (!group.pool->Submit(std::move(task))) {
+  if (!pool_->Submit(std::move(task))) {
     // Shutdown already began: Submit did not consume the task, so a
     // session batch still owns its inflight ticket — return it, and
     // resolve immediately instead of blocking.
@@ -378,13 +357,11 @@ std::string QueryService::CanonicalCacheKey(const api::QuerySpec& spec,
 
 std::future<QueryResult> QueryService::Submit(api::QuerySpec spec) {
   Task task;
-  Group& group = groups_[RouteGroupIndex(spec.location)];
   // Adopt the caller's installed trace context (the wire server traces
   // decode/encode under the same query id) or mint a fresh one.
   task.trace = obs::CurrentTraceContext();
   if (!task.trace.active()) task.trace = obs::StartQueryTrace();
-  obs::RecordInstant(task.trace, obs::EventType::kAdmission,
-                     static_cast<uint64_t>(&group - groups_.data()));
+  obs::RecordInstant(task.trace, obs::EventType::kAdmission);
   task.enqueue_time = std::chrono::steady_clock::now();
   if (spec.deadline_ms > 0) {
     // The deadline covers the full request lifetime from admission: queue
@@ -441,11 +418,7 @@ std::future<QueryResult> QueryService::Submit(api::QuerySpec spec) {
         break;
     }
   }
-  return Enqueue(std::move(task), group);
-}
-
-std::future<QueryResult> QueryService::Submit(QueryRequest request) {
-  return Submit(request.ToSpec());
+  return Enqueue(std::move(task));
 }
 
 Result<SessionId> QueryService::OpenSession(api::QuerySpec spec) {
@@ -455,7 +428,7 @@ Result<SessionId> QueryService::OpenSession(api::QuerySpec spec) {
   }
   MCN_RETURN_IF_ERROR(spec.Validate(num_costs()));
   auto session = std::make_shared<Session>();
-  session->group = RouteGroupIndex(spec.location);
+  session->home_shard = HomeShard(spec.location);
   session->spec = std::move(spec);
   session->last_used = std::chrono::steady_clock::now();
   MutexLock lock(&sessions_mu_);
@@ -520,12 +493,10 @@ std::future<QueryResult> QueryService::SessionNext(SessionId id, int n) {
     session->last_used = std::chrono::steady_clock::now();
   }
   Task task;
-  Group& group = groups_[session->group];
   task.batch_n = n;
   task.trace = obs::CurrentTraceContext();
   if (!task.trace.active()) task.trace = obs::StartQueryTrace();
-  obs::RecordInstant(task.trace, obs::EventType::kAdmission,
-                     static_cast<uint64_t>(session->group));
+  obs::RecordInstant(task.trace, obs::EventType::kAdmission);
   task.enqueue_time = std::chrono::steady_clock::now();
   if (session->spec.deadline_ms > 0) {
     // A session's deadline applies per batch, re-anchored at each pull.
@@ -534,7 +505,7 @@ std::future<QueryResult> QueryService::SessionNext(SessionId id, int n) {
                     std::chrono::milliseconds(session->spec.deadline_ms);
   }
   task.session = std::move(session);
-  return Enqueue(std::move(task), group);
+  return Enqueue(std::move(task));
 }
 
 Status QueryService::CloseSession(SessionId id) {
@@ -554,9 +525,7 @@ size_t QueryService::num_open_sessions() const {
   return sessions_.size();
 }
 
-void QueryService::Drain() {
-  for (Group& group : groups_) group.pool->Drain();
-}
+void QueryService::Drain() { pool_->Drain(); }
 
 void QueryService::Shutdown(bool drain) {
   {
@@ -564,7 +533,7 @@ void QueryService::Shutdown(bool drain) {
     if (shut_down_) return;
     shut_down_ = true;
   }
-  for (Group& group : groups_) group.pool->Shutdown(drain);
+  pool_->Shutdown(drain);
   {
     // Drop the streams (their pools read the shared storage) before the
     // read-only freeze is lifted.
@@ -578,17 +547,11 @@ void QueryService::Shutdown(bool drain) {
   }
 }
 
-void QueryService::Execute(Task&& task, Group& group, int local_worker) {
-  const int worker_index = group.base + local_worker;
-  Worker& shard = *workers_[worker_index];
-  if (opts_.pin_workers && !shard.pinned) {
-    // Contiguous CPU range per group (the NUMA-node placeholder); a
-    // worker executes on a fixed pool thread, so pinning on the first
-    // task pins that thread for good. Best-effort by design.
-    PinCurrentThreadToCpu(worker_index);
-    shard.pinned = true;
-  }
+void QueryService::Execute(Task&& task, int worker_index) {
+  Worker& worker = *workers_[worker_index];
   const bool is_session = task.session != nullptr;
+  const shard::ShardId home = is_session ? task.session->home_shard
+                                         : HomeShard(task.spec.location);
   // Install the query's trace identity for everything this worker (and
   // the probe pool it may fan out to) does on its behalf.
   const obs::TraceContextScope trace_scope(task.trace);
@@ -615,15 +578,14 @@ void QueryService::Execute(Task&& task, Group& group, int local_worker) {
                                          : task.spec.kind));
     result = is_session
                  ? RunSessionBatch(*task.session, task.batch_n, cancel)
-                 : RunQuery(task.spec, shard, cancel);
+                 : RunQuery(task.spec, worker, home, cancel);
   }
   if (is_session) {
     obs::RecordInstant(task.trace, obs::EventType::kSessionBatch,
                        static_cast<uint64_t>(task.batch_n));
   }
   result.stats.worker = worker_index;
-  result.stats.shard =
-      sharded() ? static_cast<int>(group.shard) : -1;
+  result.stats.shard = sharded() ? static_cast<int>(home) : -1;
   // exec_seconds excludes any stall already slept at turn barriers, so
   // subtract both shares or the queue wait would absorb the slept time.
   result.stats.queue_seconds = SecondsSince(task.enqueue_time) -
@@ -662,7 +624,7 @@ void QueryService::Execute(Task&& task, Group& group, int local_worker) {
   if (result.status.ok()) {
     metrics_.completed->Add(1, slot);
     if (is_session) metrics_.session_batches->Add(1, slot);
-    if (sharded()) metrics_.shard_completed[group.shard]->Add(1, slot);
+    if (sharded()) metrics_.shards[home].completed->Add(1, slot);
   } else {
     metrics_.failed->Add(1, slot);
     if (result.status.code() == StatusCode::kDeadlineExceeded) {
@@ -692,7 +654,10 @@ void QueryService::Execute(Task&& task, Group& group, int local_worker) {
       static_cast<uint64_t>(std::max(result.stats.queue_seconds, 0.0) * 1e6),
       slot);
   if (sharded()) {
-    metrics_.shard_misses[group.shard]->Add(result.stats.buffer_misses, slot);
+    const Metrics::ShardCounters& row = metrics_.shards[home];
+    row.buffer_misses->Add(result.stats.buffer_misses, slot);
+    row.local_fetches->Add(result.stats.local_fetches, slot);
+    row.remote_fetches->Add(result.stats.remote_fetches, slot);
   }
   if (opts_.flight_recorder != nullptr) {
     obs::QueryDigest digest;
@@ -745,7 +710,7 @@ void QueryService::Execute(Task&& task, Group& group, int local_worker) {
   task.promise.set_value(std::move(result));
   if (opts_.max_inflight > 0) {
     // Return the admission ticket last: the query is no longer in flight.
-    group.inflight->fetch_sub(1, std::memory_order_acq_rel);
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
   }
 }
 
@@ -760,7 +725,7 @@ QueryResult QueryService::RunSessionBatch(Session& session, int n,
     return result;
   }
   // One batch at a time per session; concurrent SessionNext calls on the
-  // same id serialize here (each on some worker of the home group).
+  // same id serialize here (each on whichever worker dequeued it).
   MutexLock lock(&session.mu);
   Stopwatch watch;
   if (session.reader == nullptr) {
@@ -769,10 +734,12 @@ QueryResult QueryService::RunSessionBatch(Session& session, int n,
     session.reader = MakeReader(&session.pool);
     if (sharded()) {
       static_cast<shard::ShardedNetworkReader*>(session.reader.get())
-          ->set_home_shard(groups_[session.group].shard);
+          ->set_home_shard(session.home_shard);
     }
   }
   const storage::BufferPool::Stats before = session.reader->PoolStats();
+  RoutedFetches routed_before;
+  if (sharded()) routed_before = Routed(session.reader.get());
   if (session.engine == nullptr) {
     // Engine construction does I/O (expansion seeding), charged to this
     // first batch — the same accounting as a local run that builds its
@@ -814,12 +781,15 @@ QueryResult QueryService::RunSessionBatch(Session& session, int n,
   const storage::BufferPool::Stats after = session.reader->PoolStats();
   result.stats.buffer_misses = after.misses - before.misses;
   result.stats.buffer_accesses = after.accesses() - before.accesses();
+  if (sharded()) {
+    routed_before.ChargeDelta(Routed(session.reader.get()), &result.stats);
+  }
   result.result_hash = algo::HashResult(result.topk);
   return result;
 }
 
 QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
-                                   Worker& worker,
+                                   Worker& worker, shard::ShardId home,
                                    const CancelToken* cancel) {
   QueryResult result;
   result.kind = spec.kind;
@@ -852,23 +822,29 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
                                         opts_.per_query_parallelism,
                                         opts_.pool_frames_per_worker);
     MCN_CHECK(executor.ok());
-    auto built = std::move(executor).value();
-    if (sharded()) built->SetHomeShard(worker.home_shard);
-    worker.expansion = std::move(built);
-    // Release-published: MetricsSnapshot samples the executor's
-    // routed-fetch counters from other threads through this pointer.
-    worker.expansion_pub.store(worker.expansion.get(),
-                               std::memory_order_release);
+    worker.expansion = std::move(executor).value();
   }
   const bool turn_mode = par >= 1;
   const bool pooled = par > 1;
 
-  if (opts_.cold_cache_per_query) {
-    worker.reader->ResetIoState();
-    if (worker.expansion != nullptr) worker.expansion->ResetIoState();
-    // The index pool follows the same independent-query model, so a
-    // query's prune I/O is deterministic regardless of what ran before.
-    if (worker.landmark != nullptr) worker.landmark->ResetIoState();
+  // Cold pools per query (the paper's independent-query model; also what
+  // makes per-query miss counts deterministic across worker counts).
+  worker.reader->ResetIoState();
+  if (worker.expansion != nullptr) worker.expansion->ResetIoState();
+  // The index pool follows the same model, so a query's prune I/O is
+  // deterministic regardless of what ran before.
+  if (worker.landmark != nullptr) worker.landmark->ResetIoState();
+  auto routed_now = [&]() {
+    return pooled ? Routed(*worker.expansion) : Routed(worker.reader.get());
+  };
+  RoutedFetches routed_before;
+  if (sharded()) {
+    // Any worker runs any query: bind the readers serving this one to its
+    // home shard so the local/remote split is the query's own.
+    static_cast<shard::ShardedNetworkReader*>(worker.reader.get())
+        ->set_home_shard(home);
+    if (pooled) worker.expansion->SetHomeShard(home);
+    routed_before = routed_now();
   }
   auto io_now = [&]() -> storage::BufferPool::Stats {
     storage::BufferPool::Stats s = pooled ? worker.expansion->PoolStats()
@@ -1063,6 +1039,7 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
   const storage::BufferPool::Stats after = io_now();
   result.stats.buffer_misses = after.misses - before.misses;
   result.stats.buffer_accesses = after.accesses() - before.accesses();
+  if (sharded()) routed_before.ChargeDelta(routed_now(), &result.stats);
 
   if (scheduler != nullptr && opts_.stall_model == StallModel::kOverlapped) {
     // Overlapped charge = the scheduler's per-turn max sum, plus the
@@ -1093,38 +1070,6 @@ QueryResult QueryService::RunQuery(const api::QuerySpec& spec,
 obs::Snapshot QueryService::MetricsSnapshot() const {
   namespace mn = metric_names;
   obs::Snapshot snap = registry_.TakeSnapshot();
-  if (sharded()) {
-    // Routed-fetch counters are relaxed atomics on each worker's reader
-    // (and probe rig), safe to sample while the workers keep executing;
-    // they are appended as derived rows rather than mirrored into the
-    // registry on the hot path.
-    for (const auto& worker : workers_) {
-      if (worker->home_shard == shard::kInvalidShard) continue;
-      auto io = static_cast<const shard::ShardedNetworkReader*>(
-                    worker->reader.get())
-                    ->shard_io_stats();
-      const ExpansionExecutor* expansion =
-          worker->expansion_pub.load(std::memory_order_acquire);
-      if (expansion != nullptr) {
-        const auto pooled_io = expansion->ShardIoStats();
-        io.local_fetches += pooled_io.local_fetches;
-        io.remote_fetches += pooled_io.remote_fetches;
-      }
-      const int s = static_cast<int>(worker->home_shard);
-      snap.AddCounter(mn::Shard(s, "local_fetches"), io.local_fetches);
-      snap.AddCounter(mn::Shard(s, "remote_fetches"), io.remote_fetches);
-    }
-    for (const Group& group : groups_) {
-      snap.AddCounter(mn::Shard(static_cast<int>(group.shard), "workers"),
-                      static_cast<uint64_t>(group.count));
-    }
-    // Make sure every shard has rows even before any traffic touches it.
-    for (int s = 0; s < storage_->num_shards(); ++s) {
-      snap.AddCounter(mn::Shard(s, "local_fetches"), 0);
-      snap.AddCounter(mn::Shard(s, "remote_fetches"), 0);
-      snap.AddCounter(mn::Shard(s, "workers"), 0);
-    }
-  }
   // Disk I/O totals, merged across shard disks by the same name-keyed path
   // the per-file stats use.
   const storage::DiskManager::Stats disk_io =
@@ -1169,15 +1114,6 @@ ServiceStats QueryService::Snapshot() const {
 
 void QueryService::ResetStats() {
   registry_.ResetAll();
-  for (const auto& worker : workers_) {
-    if (sharded()) {
-      static_cast<shard::ShardedNetworkReader*>(worker->reader.get())
-          ->ResetShardIoStats();
-      ExpansionExecutor* expansion =
-          worker->expansion_pub.load(std::memory_order_acquire);
-      if (expansion != nullptr) expansion->ResetShardIoStats();
-    }
-  }
   uptime_.Restart();
 }
 

@@ -5,17 +5,14 @@
 //     shard::ShardedStorage of K per-tile disks, frozen for the service's
 //     lifetime via BeginConcurrentReads,
 //   * one reader per worker — a BufferPool + NetworkReader in flat mode,
-//     a per-shard pool set (shard::ShardedNetworkReader) in sharded mode —
-//     never shared across threads, and
-//   * shard-affine worker *groups*: each group is its own fixed-size
-//     ThreadPool over a lock-free MPMC queue, bound to one shard. Submit
-//     routes every request to the group owning the query's location (the
-//     routing table), so a query usually expands inside the pools of its
-//     home shard; fetches that escape the tile are counted as remote.
-//     Flat services have exactly one group, which degenerates to the PR-2
-//     behavior. With ServiceOptions::pin_workers, each group's threads are
-//     pinned (best-effort, sched_setaffinity) to a contiguous CPU range —
-//     the placeholder for per-socket NUMA placement.
+//     a routing per-shard pool set (shard::ShardedNetworkReader) in sharded
+//     mode — never shared across threads, and
+//   * one fixed-size ThreadPool over a lock-free MPMC queue. Flat and
+//     sharded services share this execution path: any worker runs any
+//     query. In sharded mode the worker binds its reader (and its probe
+//     rig) to the query's *home shard* — the shard owning the query's
+//     location — before each query, so fetches that escape the tile are
+//     counted as remote no matter which worker ran it.
 //
 // Every entry point speaks api::QuerySpec (the unified preference-query
 // API, DESIGN.md §9): Submit validates the spec on the executing worker —
@@ -27,20 +24,18 @@
 // unconstrained), and resolves a std::future<QueryResult> carrying the
 // typed result rows, an FNV result hash (byte-identical to a
 // single-threaded run — and to every other shard count K: the parity
-// anchor of the service bench and tests), and per-query stats. The legacy
-// QueryRequest overload converts and forwards; prefer constructing
-// QuerySpec directly.
+// anchor of the service bench and tests), and per-query stats.
 //
 // Streaming incremental sessions (DESIGN.md §9): OpenSession pins an
 // incremental spec to a session — its own LRU pool set, engine and
-// algo::IncrementalTopK iterator, created lazily on the session's
-// home-shard worker group and kept warm across batches — and SessionNext
+// algo::IncrementalTopK iterator, created lazily on whichever worker
+// executes the first batch and kept warm across batches — and SessionNext
 // pulls further NextBest batches from that same engine. The session table
 // is bounded (ServiceOptions::max_sessions) with lazy idle eviction.
 //
 // Workers also feed the service-level aggregation: latency percentiles
-// (p50/p95/p99), QPS, session counters, and per-shard local/remote fetch
-// totals.
+// (p50/p95/p99), QPS, session counters, and per-shard completion, miss and
+// local/remote fetch totals keyed by each query's home shard.
 #ifndef MCN_EXEC_QUERY_SERVICE_H_
 #define MCN_EXEC_QUERY_SERVICE_H_
 
@@ -109,37 +104,10 @@ const char* StallModelName(StallModel model);  ///< "serial"/"overlapped"
 /// never reused.
 using SessionId = uint64_t;
 
-/// Legacy request shape, kept as a thin shim over api::QuerySpec (the
-/// fields map one to one; ToSpec() is the conversion Submit applies).
-/// Deprecated: construct api::QuerySpec directly — it adds preference
-/// constraints and is what the wire protocol transports.
-struct QueryRequest {
-  QueryKind kind = QueryKind::kSkyline;
-  graph::Location location = graph::Location::AtNode(graph::kInvalidNode);
-  /// Which engine flavor the worker builds for this query. Ignored when
-  /// `parallelism` >= 1: the turn schedule always runs CEA-style caching
-  /// — the worker's plain CachedFetch for inline turns (parallelism 1),
-  /// the striped cache over the probe pool's reader slots beyond that.
-  expand::EngineKind engine = expand::EngineKind::kCea;
-  /// Intra-query d-expansion parallelism (DESIGN.md §7). 0 = classic
-  /// serial probing; 1 = the turn-barrier schedule executed inline;
-  /// > 1 = the same schedule on the worker's probe pool, whose width is
-  /// ServiceOptions::per_query_parallelism (the exact value beyond 1
-  /// does not pick a thread count). Results and logical I/O are
-  /// byte-identical for every value >= 1 by the determinism contract.
-  int parallelism = 0;
-  /// Top-k / incremental only: result count and weighted-sum coefficients
-  /// (size must equal the network's d).
-  int k = 4;
-  std::vector<double> weights;
-
-  api::QuerySpec ToSpec() const;
-};
-
 /// Per-query measurements taken on the executing worker.
 struct QueryStats {
   int worker = -1;
-  int shard = -1;            ///< executing group's home shard (-1 = flat)
+  int shard = -1;            ///< the query's home shard (-1 = flat)
   double queue_seconds = 0;  ///< submit -> start of execution
   double exec_seconds = 0;   ///< engine construction + query computation
   /// Modeled I/O time, charged under `stall_model`: misses x
@@ -173,6 +141,10 @@ struct QueryStats {
   /// the honest total.
   uint64_t prune_checked = 0;
   uint64_t prune_cut = 0;
+  /// Sharded services only: routed record fetches that stayed on the
+  /// home shard vs crossed a shard boundary (DESIGN.md §8).
+  uint64_t local_fetches = 0;
+  uint64_t remote_fetches = 0;
 };
 
 /// Outcome of one request (or one session batch). Exactly one of
@@ -198,9 +170,8 @@ struct QueryResult {
 
 struct ServiceOptions {
   int num_workers = 4;
-  /// Ring capacity of each group's work queue; Submit applies
-  /// back-pressure (blocks) when this many queries are already waiting in
-  /// the target group.
+  /// Ring capacity of the work queue; Submit applies back-pressure
+  /// (blocks) when this many queries are already waiting.
   size_t queue_capacity = 1024;
   /// LRU frames per worker (the paper's buffer size; see
   /// gen::BufferFrames). Every worker gets the same capacity so per-query
@@ -236,12 +207,6 @@ struct ServiceOptions {
   /// requests. 0 disables caching entirely (byte-stable default).
   /// Sessions always bypass the cache.
   size_t result_cache_entries = 0;
-  /// Clear + reset the worker's pools before each query (the paper's
-  /// independent-query model; also what makes per-query miss counts
-  /// deterministic across worker counts). When false, a worker's pools
-  /// stay warm across the queries it happens to execute. Sessions are
-  /// never reset between batches — warm continuation is their point.
-  bool cold_cache_per_query = true;
   /// Probe threads available to one query (DESIGN.md §7). > 1 lets a
   /// service worker build its own ExpansionExecutor — lazily, on the
   /// worker's first request with parallelism > 1, so services whose
@@ -258,11 +223,6 @@ struct ServiceOptions {
   /// each socket contributes its own DIMMs and aggregate buffer grows
   /// with K.
   bool split_pool_across_shards = true;
-  /// Best-effort CPU pinning of each shard group's worker threads to a
-  /// contiguous CPU range (DESIGN.md §8). A feature flag: refused
-  /// affinity syscalls (CI containers, non-Linux) are silently ignored,
-  /// so correctness and CI never depend on it.
-  bool pin_workers = false;
   /// Bound on concurrently open streaming sessions (DESIGN.md §9). An
   /// OpenSession beyond the bound evicts the least-recently-used idle
   /// session; when every session is busy it fails instead.
@@ -271,7 +231,7 @@ struct ServiceOptions {
   /// next OpenSession). <= 0 disables idle eviction.
   double session_idle_seconds = 300.0;
   /// Admission control (DESIGN.md §10): bound on queries in flight
-  /// (queued + executing) per worker group. 0 = unbounded, with the legacy
+  /// (queued + executing), service-wide. 0 = unbounded, with the legacy
   /// blocking back-pressure on a full ring. > 0 = load-shedding: a Submit
   /// that would exceed the cap — or land on a full ring — resolves
   /// immediately with ResourceExhausted instead of blocking the caller,
@@ -298,7 +258,7 @@ class QueryService {
  public:
   /// Flat storage: `disk`/`files` describe a fully built network (see
   /// net::BuildNetwork); `disk` must outlive the service and is frozen
-  /// read-only until the service shuts down. One worker group.
+  /// read-only until the service shuts down.
   static Result<std::unique_ptr<QueryService>> Create(
       storage::DiskManager* disk, const net::NetworkFiles& files,
       const ServiceOptions& options);
@@ -306,8 +266,8 @@ class QueryService {
   /// Sharded storage (DESIGN.md §8): `storage`/`files` describe a built
   /// sharded network (shard::BuildShardedNetwork); `storage` must outlive
   /// the service and every shard disk is frozen read-only until shutdown.
-  /// Workers are split into min(K, num_workers) shard-affine groups and
-  /// requests are routed to the group owning their location.
+  /// Any worker runs any query; each query is bound to its home shard for
+  /// the local/remote fetch split.
   static Result<std::unique_ptr<QueryService>> Create(
       shard::ShardedStorage* storage,
       const shard::ShardedNetworkFiles& files, const ServiceOptions& options);
@@ -318,25 +278,22 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Enqueues `spec` on its affinity group; blocks when that group's
-  /// queue is full. Malformed specs resolve the future with an
-  /// InvalidArgument result (never a crash). After shutdown the returned
-  /// future is immediately ready with a FailedPrecondition result.
+  /// Enqueues `spec`; blocks when the queue is full. Malformed specs
+  /// resolve the future with an InvalidArgument result (never a crash).
+  /// After shutdown the returned future is immediately ready with a
+  /// FailedPrecondition result.
   std::future<QueryResult> Submit(api::QuerySpec spec);
-
-  /// Legacy entry point; converts to api::QuerySpec and forwards.
-  std::future<QueryResult> Submit(QueryRequest request);
 
   /// Opens a streaming incremental session for `spec` (kind must be
   /// kIncrementalTopK; the spec's k is advisory only — batch sizes are
-  /// chosen per SessionNext call). The session is bound to the location's
-  /// home-shard group and its engine is built lazily, on the group worker
+  /// chosen per SessionNext call). The session's reader is bound to the
+  /// location's home shard and its engine is built lazily, on the worker
   /// executing the first SessionNext. Fails when the spec is invalid or
   /// the session table is full of busy sessions.
   Result<SessionId> OpenSession(api::QuerySpec spec);
 
   /// Pulls the next `n` ranked results from the session's pinned engine
-  /// (on its home-shard group). Batches on one session serialize — a
+  /// (on any worker). Batches on one session serialize — a
   /// pipelined batch waits *on its executing worker* for the previous
   /// one, so keep per-session pipelining shallow or it parks workers
   /// (the wire server never pipelines: one request per connection is in
@@ -365,8 +322,8 @@ class QueryService {
   ServiceStats Snapshot() const;
 
   /// The full observability snapshot (DESIGN.md §11): every registry
-  /// instrument plus sampled per-shard reader counters, disk I/O totals
-  /// and liveness gauges. This is what api::Server serves for kGetMetrics.
+  /// instrument (per-shard rows included) plus disk I/O totals and
+  /// liveness gauges. This is what api::Server serves for kGetMetrics.
   obs::Snapshot MetricsSnapshot() const;
 
   /// Clears the aggregation and restarts the QPS window. Call only while
@@ -374,7 +331,6 @@ class QueryService {
   void ResetStats();
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
-  int num_groups() const { return static_cast<int>(groups_.size()); }
   bool sharded() const { return storage_ != nullptr; }
   /// The served network's cost dimensionality d (what specs validate
   /// against).
@@ -409,7 +365,8 @@ class QueryService {
   struct Session {
     SessionId id = 0;
     api::QuerySpec spec;
-    int group = 0;  ///< home-shard group index (routing affinity)
+    /// Shard owning the spec's location (kInvalidShard when flat).
+    shard::ShardId home_shard = shard::kInvalidShard;
     /// Flat mode only: the pool behind `reader` (sharded readers own
     /// their per-shard pools).
     std::unique_ptr<storage::BufferPool> pool MCN_GUARDED_BY(mu);
@@ -452,8 +409,8 @@ class QueryService {
     uint64_t cache_epoch = 0;
   };
 
-  /// Per-worker shard: reader (owning its pool set) confined to one worker
-  /// thread. The service aggregation that used to live here (latency
+  /// Per-worker state: reader (owning its pool set) confined to one
+  /// worker thread. The service aggregation that used to live here (latency
   /// samples + a mutex-guarded counter block per worker) moved into the
   /// service's obs::Registry — workers record through shared lock-free
   /// instruments, slot = worker index (DESIGN.md §11).
@@ -462,14 +419,9 @@ class QueryService {
     /// its per-shard pools in sharded mode).
     std::unique_ptr<storage::BufferPool> pool;
     std::unique_ptr<net::NetworkReader> reader;
-    shard::ShardId home_shard = shard::kInvalidShard;
-    bool pinned = false;  ///< pin attempted (worker-thread confined)
-    /// Intra-query probe rig; only built when per_query_parallelism > 1.
-    /// Owned here, published through `expansion_pub` (release store after
-    /// construction) so MetricsSnapshot can sample its routed-fetch
-    /// counters from other threads without a lock.
+    /// Intra-query probe rig; built on the worker's first request with
+    /// parallelism > 1 (per_query_parallelism > 1 only).
     std::unique_ptr<ExpansionExecutor> expansion;
-    std::atomic<ExpansionExecutor*> expansion_pub{nullptr};
     /// Validated landmark-index reader (enable_prune_index and a present
     /// index only); worker-thread confined like `reader`. Owns its own
     /// small pool — see net::kLandmarkPoolFrames.
@@ -497,21 +449,15 @@ class QueryService {
     obs::Counter* stall_micros = nullptr;
     obs::Counter* queue_micros = nullptr;
     obs::Histogram* latency_us = nullptr;
-    /// Sharded services: per-shard completion/miss attribution.
-    std::vector<obs::Counter*> shard_completed;
-    std::vector<obs::Counter*> shard_misses;
-  };
-
-  /// One shard-affine worker group: a slice [base, base + count) of
-  /// workers_ executing its own ThreadPool.
-  struct Group {
-    shard::ShardId shard = 0;  ///< home shard (group index; flat: 0)
-    int base = 0;
-    int count = 0;
-    std::unique_ptr<ThreadPool<Task>> pool;
-    /// Queries admitted and not yet finished (max_inflight > 0 only).
-    /// Boxed so Group stays movable for groups_.resize().
-    std::unique_ptr<std::atomic<int64_t>> inflight;
+    /// Sharded services: per-shard attribution, keyed by each query's
+    /// home shard.
+    struct ShardCounters {
+      obs::Counter* completed = nullptr;
+      obs::Counter* buffer_misses = nullptr;
+      obs::Counter* local_fetches = nullptr;
+      obs::Counter* remote_fetches = nullptr;
+    };
+    std::vector<ShardCounters> shards;
   };
 
   QueryService(storage::DiskManager* disk, shard::ShardedStorage* storage,
@@ -519,31 +465,32 @@ class QueryService {
                const shard::ShardedNetworkFiles& sharded_files,
                const ServiceOptions& options);
 
-  void StartGroups();
   /// Builds one reader over the service's storage with the per-worker
   /// pool budget — the single construction path for worker and session
   /// readers. Flat mode materializes the backing pool into `flat_pool`;
   /// sharded readers own their per-shard pools.
   std::unique_ptr<net::NetworkReader> MakeReader(
       std::unique_ptr<storage::BufferPool>* flat_pool) const;
-  /// The group index owning `location` under the routing table (flat: 0).
-  int RouteGroupIndex(const graph::Location& location) const;
+  /// The shard owning `location` under the routing table; kInvalidShard
+  /// on flat services. Out-of-range locations map to shard 0 (the query
+  /// then fails validation on the worker).
+  shard::ShardId HomeShard(const graph::Location& location) const;
 
-  /// Enqueues `task` on `group`, resolving the future immediately when
-  /// the service is shut down.
-  std::future<QueryResult> Enqueue(Task&& task, Group& group);
+  /// Enqueues `task`, resolving the future immediately when the service
+  /// is shut down (or, under max_inflight, over capacity).
+  std::future<QueryResult> Enqueue(Task&& task);
 
   /// Settles a task's cache flight with a failure (waiters share the
   /// fate); no-op when the task carries none. Every path that resolves a
   /// flighted task without executing it must call this.
   void AbandonCacheFlight(Task& task, const Status& status);
 
-  void Execute(Task&& task, Group& group, int local_worker);
-  /// Runs the query on `worker`'s shard; fills everything but the latency
-  /// fields of the result stats. `cancel` (nullable) is checked
-  /// cooperatively by the expansion layer.
+  void Execute(Task&& task, int worker_index);
+  /// Runs the query on `worker`, bound to `home` (sharded services); fills
+  /// everything but the latency fields of the result stats. `cancel`
+  /// (nullable) is checked cooperatively by the expansion layer.
   QueryResult RunQuery(const api::QuerySpec& spec, Worker& worker,
-                       const CancelToken* cancel);
+                       shard::ShardId home, const CancelToken* cancel);
   /// Runs one session batch (creating the session's engine on first use).
   QueryResult RunSessionBatch(Session& session, int n,
                               const CancelToken* cancel);
@@ -561,7 +508,9 @@ class QueryService {
   shard::ShardedNetworkFiles sharded_files_;    ///< sharded mode
   ServiceOptions opts_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<Group> groups_;
+  std::unique_ptr<ThreadPool<Task>> pool_;
+  /// Queries admitted and not yet finished (max_inflight > 0 only).
+  std::atomic<int64_t> inflight_{0};
   mutable Mutex sessions_mu_;
   std::unordered_map<SessionId, std::shared_ptr<Session>> sessions_
       MCN_GUARDED_BY(sessions_mu_);

@@ -116,8 +116,7 @@ void AppendArgs(std::string* out, const TraceEvent& e) {
       a0 = "kind";
       break;
     case EventType::kAdmission:
-      a0 = "group";
-      break;
+      break;  // no payload
     case EventType::kQueueWait:
       a0 = "worker";
       break;

@@ -45,7 +45,7 @@ namespace mcn::obs {
 /// Typed trace events (the taxonomy of DESIGN.md §11).
 enum class EventType : uint8_t {
   kQuery = 0,       ///< whole request: admission -> completion (arg0 = kind)
-  kAdmission,       ///< instant at Submit (arg0 = group index)
+  kAdmission,       ///< instant at Submit
   kQueueWait,       ///< admission -> start of execution (arg0 = worker)
   kExec,            ///< engine construction + computation (arg0 = kind)
   kExpansionTurn,   ///< one turn barrier (arg0 = width, arg1 = pooled)

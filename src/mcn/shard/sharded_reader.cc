@@ -6,13 +6,6 @@
 
 namespace mcn::shard {
 
-size_t FramesPerShard(size_t total_frames, int num_shards) {
-  MCN_CHECK(num_shards > 0);
-  if (total_frames == 0) return 0;
-  const size_t per_shard = total_frames / static_cast<size_t>(num_shards);
-  return per_shard > 0 ? per_shard : 1;
-}
-
 std::vector<size_t> SplitFramesAcrossShards(size_t total_frames,
                                             int num_shards) {
   MCN_CHECK(num_shards > 0);
@@ -102,11 +95,11 @@ class ShardedNetworkReader::FetchTrace {
 
 ShardId ShardedNetworkReader::Route(ShardId target) const {
   MCN_DCHECK(target < readers_.size());
-  fetches_to_shard_[target].fetch_add(1, std::memory_order_relaxed);
+  ++fetches_to_shard_[target];
   if (home_shard_ != kInvalidShard && target != home_shard_) {
-    remote_fetches_.fetch_add(1, std::memory_order_relaxed);
+    ++remote_fetches_;
   } else {
-    local_fetches_.fetch_add(1, std::memory_order_relaxed);
+    ++local_fetches_;
   }
   return target;
 }
@@ -171,22 +164,16 @@ void ShardedNetworkReader::ResetIoState() {
 ShardedNetworkReader::ShardIoStats ShardedNetworkReader::shard_io_stats()
     const {
   ShardIoStats stats;
-  stats.local_fetches = local_fetches_.load(std::memory_order_relaxed);
-  stats.remote_fetches = remote_fetches_.load(std::memory_order_relaxed);
-  stats.fetches_to_shard.reserve(fetches_to_shard_.size());
-  for (const auto& counter : fetches_to_shard_) {
-    stats.fetches_to_shard.push_back(
-        counter.load(std::memory_order_relaxed));
-  }
+  stats.local_fetches = local_fetches_;
+  stats.remote_fetches = remote_fetches_;
+  stats.fetches_to_shard = fetches_to_shard_;
   return stats;
 }
 
 void ShardedNetworkReader::ResetShardIoStats() {
-  local_fetches_.store(0, std::memory_order_relaxed);
-  remote_fetches_.store(0, std::memory_order_relaxed);
-  for (auto& counter : fetches_to_shard_) {
-    counter.store(0, std::memory_order_relaxed);
-  }
+  local_fetches_ = 0;
+  remote_fetches_ = 0;
+  fetches_to_shard_.assign(fetches_to_shard_.size(), 0);
 }
 
 }  // namespace mcn::shard

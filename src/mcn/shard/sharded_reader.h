@@ -8,13 +8,13 @@
 //   GetFacilities(edge,...) -> shard of edge.u     (edge ownership rule)
 //   LocateFacilityEdge(f)   -> shard of f's edge   (FacilityId table)
 //
-// Affinity accounting: the reader carries a *home shard* (the shard the
-// owning worker is bound to, or the shard of the query's location). Every
+// Affinity accounting: the reader carries a *home shard* (the shard of the
+// current query's location, set by the caller before each query). Every
 // routed fetch increments either the local or the remote counter — the
 // §2 I/O accounting's measure of how often an expansion escapes its tile.
-// Counters are relaxed atomics so a service Snapshot can read them while
-// the owning worker keeps executing; everything else follows the base
-// contract (one reader per thread).
+// The service samples the counters before and after each query and
+// charges the delta to the query's home shard. Everything follows the
+// base contract (one reader per thread).
 //
 // Like the flat reader, record fetches are charged to the (per-shard)
 // pools' hit/miss statistics; PoolStats()/ResetIoState() aggregate over
@@ -22,7 +22,6 @@
 #ifndef MCN_SHARD_SHARDED_READER_H_
 #define MCN_SHARD_SHARDED_READER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -102,17 +101,10 @@ class ShardedNetworkReader : public net::NetworkReader {
   std::vector<std::unique_ptr<net::NetworkReader>> readers_;
   ShardId home_shard_ = kInvalidShard;
 
-  mutable std::atomic<uint64_t> local_fetches_{0};
-  mutable std::atomic<uint64_t> remote_fetches_{0};
-  mutable std::vector<std::atomic<uint64_t>> fetches_to_shard_;
+  mutable uint64_t local_fetches_ = 0;
+  mutable uint64_t remote_fetches_ = 0;
+  mutable std::vector<uint64_t> fetches_to_shard_;
 };
-
-/// Even split of a flat frame budget across K shard pools (at least one
-/// frame each when the budget is non-zero, so tiny buffers stay usable).
-/// Deprecated in favor of SplitFramesAcrossShards: the floored division
-/// silently drops up to K-1 remainder frames, shrinking the effective
-/// buffer of non-divisible budgets.
-size_t FramesPerShard(size_t total_frames, int num_shards);
 
 /// Exact split of a flat frame budget across K shard pools: shard s gets
 /// total/K frames plus one of the total%K remainder frames (s < total%K),

@@ -1,5 +1,6 @@
-// Unified-API service tests (DESIGN.md §9): QuerySpec submission parity
-// with the legacy QueryRequest path, Status-based rejection of malformed
+// Unified-API service tests (DESIGN.md §9): parity between the QuerySpec
+// convenience constructors and field-built specs, Status-based rejection
+// of malformed
 // specs (no worker crashes), preference-constraint semantics, and the
 // streaming incremental session lifecycle — local-iterator parity, bounded
 // session table with LRU + idle eviction, close/unknown-id behavior.
@@ -80,27 +81,35 @@ struct ApiFixture {
   }
 };
 
-TEST(ApiSpecTest, SpecAndLegacyRequestAreHashIdentical) {
+TEST(ApiSpecTest, FieldBuiltAndHelperSpecsAreHashIdentical) {
   ApiFixture fx;
   auto service = QueryService::Create(&fx.instance->disk,
                                       fx.instance->files, fx.Options(2));
   ASSERT_TRUE(service.ok());
   Random rng(42);
   for (int i = 0; i < 9; ++i) {
-    QueryRequest request;
-    request.location = fx.instance->RandomQueryLocation(rng);
-    request.kind = static_cast<QueryKind>(i % 3);
-    if (request.kind != QueryKind::kSkyline) {
-      request.k = 3;
-      request.weights = test::TestWeights(fx.d(), 77 + i);
+    api::QuerySpec fields;
+    fields.location = fx.instance->RandomQueryLocation(rng);
+    fields.kind = static_cast<QueryKind>(i % 3);
+    api::QuerySpec helper = api::SkylineSpec(fields.location);
+    if (fields.kind != QueryKind::kSkyline) {
+      // A skyline spec carries no weights (validation rejects them).
+      fields.k = 3;
+      fields.preference.weights = test::TestWeights(fx.d(), 77 + i);
+      helper = fields.kind == QueryKind::kTopK
+                   ? api::TopKSpec(fields.location, 3,
+                                   fields.preference.weights)
+                   : api::IncrementalSpec(fields.location, 3,
+                                          fields.preference.weights);
     }
-    QueryResult via_request = (*service)->Submit(request).get();
-    QueryResult via_spec = (*service)->Submit(request.ToSpec()).get();
-    ASSERT_TRUE(via_request.status.ok());
-    ASSERT_TRUE(via_spec.status.ok());
-    EXPECT_EQ(via_request.result_hash, via_spec.result_hash);
-    EXPECT_EQ(via_request.stats.buffer_misses,
-              via_spec.stats.buffer_misses);
+    EXPECT_EQ(fields, helper);
+    QueryResult via_fields = (*service)->Submit(fields).get();
+    QueryResult via_helper = (*service)->Submit(helper).get();
+    ASSERT_TRUE(via_fields.status.ok());
+    ASSERT_TRUE(via_helper.status.ok());
+    EXPECT_EQ(via_fields.result_hash, via_helper.result_hash);
+    EXPECT_EQ(via_fields.stats.buffer_misses,
+              via_helper.stats.buffer_misses);
   }
   (*service)->Shutdown();
 }

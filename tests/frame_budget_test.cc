@@ -1,7 +1,7 @@
-// Regression test for the frame-budget split across shard pools. The old
-// FramesPerShard floored the division, silently dropping up to K-1
-// remainder frames of a non-divisible budget — a worker configured for
-// 10 frames over K=4 shards ran with 8. SplitFramesAcrossShards conserves
+// Regression test for the frame-budget split across shard pools. A floored
+// division would silently drop up to K-1 remainder frames of a
+// non-divisible budget — a worker configured for 10 frames over K=4
+// shards would run with 8. SplitFramesAcrossShards conserves
 // the budget exactly: sum == total for every total >= K, with the one-frame
 // floor (each pool must be usable) as the only case where the sum exceeds
 // the budget. The reader-level test pins the capacities a
@@ -47,15 +47,6 @@ TEST(FrameBudgetTest, SplitConservesTotalFrames) {
   for (int k = 1; k <= 4; ++k) {
     for (size_t f : SplitFramesAcrossShards(0, k)) EXPECT_EQ(f, 0u);
   }
-}
-
-TEST(FrameBudgetTest, OldFloorDivisionDocumentedAsLossy) {
-  // The deprecated helper keeps its old behavior (callers that still want
-  // a uniform per-shard count get it unchanged) — this pins what the new
-  // split fixes: 11 frames over 4 shards lost 3 of them.
-  EXPECT_EQ(FramesPerShard(11, 4), 2u);
-  const std::vector<size_t> fixed = SplitFramesAcrossShards(11, 4);
-  EXPECT_EQ(std::accumulate(fixed.begin(), fixed.end(), size_t{0}), 11u);
 }
 
 TEST(FrameBudgetTest, ReaderPoolsMatchTheSplit) {

@@ -45,12 +45,12 @@ struct ServiceFixture {
   }
 
   /// A deterministic mixed workload (same for every service under test).
-  std::vector<QueryRequest> MixedWorkload(int n) const {
-    std::vector<QueryRequest> requests;
+  std::vector<api::QuerySpec> MixedWorkload(int n) const {
+    std::vector<api::QuerySpec> requests;
     Random rng(1234);
     int d = instance->graph.num_costs();
     for (int i = 0; i < n; ++i) {
-      QueryRequest req;
+      api::QuerySpec req;
       req.location = instance->RandomQueryLocation(rng);
       req.engine = (i % 2 == 0) ? expand::EngineKind::kCea
                                 : expand::EngineKind::kLsa;
@@ -61,12 +61,12 @@ struct ServiceFixture {
         case 1:
           req.kind = QueryKind::kTopK;
           req.k = 3;
-          req.weights = test::TestWeights(d, 99 + i);
+          req.preference.weights = test::TestWeights(d, 99 + i);
           break;
         case 2:
           req.kind = QueryKind::kIncrementalTopK;
           req.k = 5;
-          req.weights = test::TestWeights(d, 7 + i);
+          req.preference.weights = test::TestWeights(d, 7 + i);
           break;
       }
       requests.push_back(std::move(req));
@@ -82,10 +82,10 @@ struct RunRecord {
 };
 
 RunRecord RunThrough(QueryService& service,
-                     const std::vector<QueryRequest>& requests) {
+                     const std::vector<api::QuerySpec>& requests) {
   std::vector<std::future<QueryResult>> futures;
   futures.reserve(requests.size());
-  for (const QueryRequest& req : requests) {
+  for (const api::QuerySpec& req : requests) {
     futures.push_back(service.Submit(req));
   }
   RunRecord record;
@@ -137,7 +137,7 @@ TEST(QueryServiceTest, MatchesDirectSingleThreadedExecution) {
   // Reference: the same requests executed inline on the instance's own
   // pool/reader, exactly like the paper's single-query experiments.
   for (size_t i = 0; i < requests.size(); ++i) {
-    const QueryRequest& req = requests[i];
+    const api::QuerySpec& req = requests[i];
     fx.instance->ResetIoState();
     auto engine = expand::MakeEngine(req.engine, fx.instance->reader.get(),
                                      req.location);
@@ -155,15 +155,16 @@ TEST(QueryServiceTest, MatchesDirectSingleThreadedExecution) {
         algo::TopKOptions opts;
         opts.k = req.k;
         algo::TopKQuery query(engine.value().get(),
-                              algo::WeightedSum(req.weights), opts);
+                              algo::WeightedSum(req.preference.weights),
+                              opts);
         auto rows = query.Run();
         ASSERT_TRUE(rows.ok());
         hash = algo::HashResult(rows.value());
         break;
       }
       case QueryKind::kIncrementalTopK: {
-        algo::IncrementalTopK query(engine.value().get(),
-                                    algo::WeightedSum(req.weights));
+        algo::IncrementalTopK query(
+            engine.value().get(), algo::WeightedSum(req.preference.weights));
         std::vector<algo::TopKEntry> rows;
         for (int j = 0; j < req.k; ++j) {
           auto next = query.NextBest();
@@ -252,17 +253,18 @@ TEST(QueryServiceTest, InvalidRequestsFailCleanlyWithoutPoisoningWorkers) {
   ASSERT_TRUE(service.ok());
   Random rng(5);
 
-  QueryRequest bad_weights;
+  api::QuerySpec bad_weights;
   bad_weights.kind = QueryKind::kTopK;
   bad_weights.location = fx.instance->RandomQueryLocation(rng);
-  bad_weights.weights = {1.0};  // wrong dimension
+  bad_weights.preference.weights = {1.0};  // wrong dimension
   QueryResult bad = (*service)->Submit(bad_weights).get();
   EXPECT_FALSE(bad.status.ok());
 
-  QueryRequest bad_k;
+  api::QuerySpec bad_k;
   bad_k.kind = QueryKind::kIncrementalTopK;
   bad_k.location = fx.instance->RandomQueryLocation(rng);
-  bad_k.weights = test::TestWeights(fx.instance->graph.num_costs(), 3);
+  bad_k.preference.weights =
+      test::TestWeights(fx.instance->graph.num_costs(), 3);
   bad_k.k = 0;
   EXPECT_FALSE((*service)->Submit(bad_k).get().status.ok());
 
@@ -286,14 +288,14 @@ TEST(QueryServiceTest, DiskIsFrozenWhileServiceLives) {
 }
 
 TEST(QueryServiceTest, IntraQueryParallelismKeepsHashesIdentical) {
-  // QueryRequest::parallelism routes a query onto the worker's turn-barrier
+  // QuerySpec::parallelism routes a query onto the worker's turn-barrier
   // rig (DESIGN.md §7). The turn schedule must be byte-identical whether it
   // runs inline (parallelism 1) or on probe workers (parallelism 4), for
   // every query kind; the classic serial path (parallelism 0) must agree
   // on the result sets, checked here via skyline sizes and top-k hashes.
   ServiceFixture fx;
-  std::vector<QueryRequest> base = fx.MixedWorkload(12);
-  for (QueryRequest& req : base) req.engine = expand::EngineKind::kCea;
+  std::vector<api::QuerySpec> base = fx.MixedWorkload(12);
+  for (api::QuerySpec& req : base) req.engine = expand::EngineKind::kCea;
 
   auto run_with_parallelism = [&](int parallelism) {
     ServiceOptions opts = fx.Options(2);
@@ -301,8 +303,8 @@ TEST(QueryServiceTest, IntraQueryParallelismKeepsHashesIdentical) {
     auto service = QueryService::Create(&fx.instance->disk,
                                         fx.instance->files, opts);
     EXPECT_TRUE(service.ok());
-    std::vector<QueryRequest> requests = base;
-    for (QueryRequest& req : requests) req.parallelism = parallelism;
+    std::vector<api::QuerySpec> requests = base;
+    for (api::QuerySpec& req : requests) req.parallelism = parallelism;
     RunRecord record = RunThrough(**service, requests);
     (*service)->Shutdown();
     return record;
@@ -322,27 +324,6 @@ TEST(QueryServiceTest, IntraQueryParallelismKeepsHashesIdentical) {
       EXPECT_EQ(serial.hashes[i], inline_turns.hashes[i]) << "request " << i;
     }
   }
-}
-
-TEST(QueryServiceTest, WarmCacheModeReducesMisses) {
-  ServiceFixture fx;
-  ServiceOptions opts = fx.Options(1);
-  opts.cold_cache_per_query = false;
-  opts.pool_frames_per_worker = 4096;  // large enough to keep every page
-  auto service =
-      QueryService::Create(&fx.instance->disk, fx.instance->files, opts);
-  ASSERT_TRUE(service.ok());
-  // The same query twice on one worker: the second run hits the warm pool.
-  Random rng(21);
-  QueryRequest req;
-  req.kind = QueryKind::kSkyline;
-  req.location = fx.instance->RandomQueryLocation(rng);
-  QueryResult first = (*service)->Submit(req).get();
-  QueryResult second = (*service)->Submit(req).get();
-  ASSERT_TRUE(first.status.ok());
-  ASSERT_TRUE(second.status.ok());
-  EXPECT_EQ(first.result_hash, second.result_hash);
-  EXPECT_LT(second.stats.buffer_misses, first.stats.buffer_misses);
 }
 
 }  // namespace
